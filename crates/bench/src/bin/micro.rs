@@ -13,7 +13,7 @@ use mntp::TrendFilter;
 use netsim::kernel::Sim;
 use netsim::wifi::{WifiChannel, WifiConfig};
 use ntp_wire::{sntp_profile, Exchange, NtpPacket, NtpTimestamp};
-use ntpd_sim::select::{select_survivors, PeerCandidate};
+use sntp::select::{select_survivors, PeerCandidate};
 
 fn bench_packet_codec(s: &mut Suite) {
     let packet = sntp_profile::client_request(NtpTimestamp::from_parts(1000, 42));

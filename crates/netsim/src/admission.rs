@@ -1,17 +1,36 @@
-//! Sparse per-client rate-limit state: an open-addressing hash table of
-//! last-seen ticks.
+//! Server admission: the one copy of the RATE kiss-o'-death rule.
 //!
-//! The fleet model (`netsim::fleet::ServerModel`) keys its admission state
-//! by dense client index — a `Vec<i64>` grown to the highest id seen. That
-//! is the right shape when clients are `0..N` simulation lanes; a
-//! production ingest path sees sparse 64-bit keys (source addresses) where
-//! a dense vector is either gigantic or useless. This table stores exactly
-//! the occupied entries: Fibonacci-hashed open addressing with linear
-//! probing, ≤ 7/8 load factor, amortized-doubling growth.
+//! A server answers `RATE` instead of time to a client whose request
+//! arrives sooner than the minimum spacing after that client's previous
+//! one (RFC 5905 §7.4). Every simulated server decides this through an
+//! [`Admission`]: `sntp::SimServer`, each shard of the batched
+//! `sntp::server_core::ServerCore`, and the fleet's capacity model
+//! [`crate::fleet::ServerModel`]. They differ only in what they feed it:
 //!
+//! * the **base floor**, the spacing enforced at any load. It is a
+//!   per-call input rather than state, because a `SimServer`'s floor can
+//!   change between exchanges (fault plans rewrite it);
+//! * the **load**, which selects the [`Ladder`]'s tighter floors. The
+//!   fleet model passes its backlog; the other two configure no ladder
+//!   and pass 0.
+//!
+//! One arrival is judged in a fixed order: [`Admission::sheds`], then the
+//! caller's own capacity check, then [`Admission::rate`] (the verdict and
+//! the state update). Refused arrivals leave no trace in the tables.
+//!
+//! Per-client state lives in sparse [`RateTable`]s keyed by `u64` client
+//! key (a source-address surrogate): Fibonacci-hashed open addressing
+//! with linear probing, ≤ 7/8 load factor, amortized-doubling growth.
 //! Empty slots are encoded in the *tick* array (`i64::MIN` is not a valid
 //! arrival time), so keys need no reserved sentinel and any `u64` is a
 //! valid client key.
+
+use clocksim::time::SimDuration;
+
+/// The back-off `sntp::pool::HealthConfig::rate_backoff_secs` applies
+/// after a RATE kiss, seconds. [`Ladder::clamped`] caps every load floor
+/// here, so a client that honours the ban is never RATE'd again.
+pub const HEALTH_RATE_BAN_SECS: f64 = 64.0;
 
 /// Knuth's 64-bit Fibonacci multiplier (⌊2⁶⁴/φ⌋, forced odd).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -177,6 +196,137 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     (key.wrapping_mul(FIB) >> (64 - bits)) as usize
 }
 
+/// One load-selected floor: from `load` upward, a client's polls must be
+/// at least `floor` apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rung {
+    /// Load at and above which the rung is active.
+    pub load: usize,
+    /// Minimum per-client spacing while the rung is active.
+    pub floor: SimDuration,
+}
+
+/// Floors that tighten with load, plus shedding of repeat offenders.
+/// `Ladder::default()` is the bare rule: the base floor at any load, and
+/// no strike table.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Ladder {
+    /// The intermediate rung between the base floor and overload.
+    pub ramp: Option<Rung>,
+    /// The overload rung. Its load also arms shedding.
+    pub overload: Option<Rung>,
+    /// Consecutive RATE verdicts after which a client's arrivals are shed
+    /// while the overload rung is active. `None` keeps no strike record.
+    pub shed_strikes: Option<u8>,
+}
+
+impl Ladder {
+    /// A ladder no ban-honouring client can trip. The overload floor is
+    /// clamped into `[base, HEALTH_RATE_BAN_SECS]`; the ramp rung's floor
+    /// into `[base, overload floor]` and its load to at most the overload
+    /// load. (A base above the ban stays in force: the rung floors then
+    /// sit below it and never bind.)
+    pub fn clamped(
+        base: SimDuration,
+        overload: Rung,
+        ramp: Option<Rung>,
+        shed_strikes: Option<u8>,
+    ) -> Ladder {
+        let ban = SimDuration::from_secs_f64(HEALTH_RATE_BAN_SECS);
+        let overload = Rung { load: overload.load, floor: overload.floor.max(base).min(ban) };
+        let ramp = ramp.map(|r| Rung {
+            load: r.load.min(overload.load),
+            floor: r.floor.max(base).min(overload.floor),
+        });
+        Ladder { ramp, overload: Some(overload), shed_strikes }
+    }
+}
+
+/// Per-client admission state — last-seen arrivals and strikes — and the
+/// [`Ladder`] it is judged by.
+#[derive(Clone, Debug)]
+pub struct Admission {
+    last_seen: RateTable,
+    /// Consecutive RATE verdicts per client since its last compliant
+    /// arrival. Kept only when the ladder sheds; a missing entry is 0.
+    strikes: RateTable,
+    ladder: Ladder,
+}
+
+impl Admission {
+    /// Empty state for about `clients` clients (the table still grows on
+    /// demand), judged by `ladder`.
+    pub fn new(clients: usize, ladder: Ladder) -> Self {
+        Admission {
+            last_seen: RateTable::with_capacity(clients),
+            strikes: RateTable::with_capacity(16),
+            ladder,
+        }
+    }
+
+    /// Distinct clients with an arrival on record.
+    pub fn clients_tracked(&self) -> usize {
+        self.last_seen.len()
+    }
+
+    /// Step 1: drop `key`'s arrival without a reply? Only while the
+    /// overload rung is active, and only for a client with
+    /// `shed_strikes` consecutive RATE verdicts: abusive pollers that
+    /// ignore RATE stop costing queue space.
+    pub fn sheds(&self, key: u64, load: usize) -> bool {
+        match (self.ladder.shed_strikes, self.ladder.overload) {
+            (Some(at), Some(overload)) => {
+                load >= overload.load && self.strikes.get(key).unwrap_or(0) >= i64::from(at)
+            }
+            _ => false,
+        }
+    }
+
+    /// Step 3: the RATE verdict for `key` arriving at `at_ns` under
+    /// `load`, then the state update. The active floor is the largest of
+    /// `base` and every rung whose load is reached. A client with no
+    /// arrival on record is always served. `base = None` turns rate
+    /// limiting off: nothing is RATE'd and no state is touched.
+    #[inline]
+    pub fn rate(&mut self, key: u64, at_ns: i64, base: Option<SimDuration>, load: usize) -> bool {
+        let Some(base) = base else { return false };
+        let floor = self.floor(base, load).as_nanos();
+        let kod = self.last_seen.upsert(key, at_ns).is_some_and(|prev| at_ns - prev < floor);
+        if self.ladder.shed_strikes.is_some() {
+            self.strike(key, kod);
+        }
+        kod
+    }
+
+    /// Forget every client (a process restart). Capacity survives; the
+    /// first poll from anyone afterwards is served, and no strike carries
+    /// over.
+    pub fn clear(&mut self) {
+        self.last_seen.clear();
+        self.strikes.clear();
+    }
+
+    #[inline]
+    fn floor(&self, base: SimDuration, load: usize) -> SimDuration {
+        [self.ladder.ramp, self.ladder.overload]
+            .into_iter()
+            .flatten()
+            .filter(|rung| load >= rung.load)
+            .fold(base, |floor, rung| floor.max(rung.floor))
+    }
+
+    /// A RATE verdict adds a strike; a compliant arrival clears the
+    /// record, so a client that honours RATE is never shed.
+    fn strike(&mut self, key: u64, kod: bool) {
+        let strikes = self.strikes.get(key).unwrap_or(0);
+        if kod {
+            self.strikes.upsert(key, strikes.saturating_add(1));
+        } else if strikes != 0 {
+            self.strikes.upsert(key, 0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,5 +419,41 @@ mod tests {
                 "shard {s} holds {c} of 80k keys — routing is skewed"
             );
         }
+    }
+
+    fn secs(s: i64) -> i64 {
+        SimDuration::from_secs(s).as_nanos()
+    }
+
+    const BASE: Option<SimDuration> = Some(SimDuration(8_000_000_000));
+
+    #[test]
+    fn no_base_floor_touches_no_state() {
+        let mut a = Admission::new(16, Ladder::default());
+        assert!(!a.rate(1, secs(0), None, 0));
+        assert!(!a.rate(1, secs(1), None, 0));
+        assert_eq!(a.clients_tracked(), 0);
+    }
+
+    #[test]
+    fn strikes_shed_only_under_overload_and_clear_on_compliance() {
+        let ladder = Ladder {
+            overload: Some(Rung { load: 10, floor: SimDuration::from_secs(8) }),
+            shed_strikes: Some(2),
+            ..Ladder::default()
+        };
+        let mut a = Admission::new(16, ladder);
+        assert!(!a.rate(5, secs(0), BASE, 0));
+        assert!(a.rate(5, secs(1), BASE, 0));
+        assert!(a.rate(5, secs(2), BASE, 0));
+        assert!(!a.sheds(5, 9), "below the overload load nothing is shed");
+        assert!(a.sheds(5, 10));
+        assert!(!a.sheds(6, 10), "a client with no strikes is never shed");
+        // A compliant poll clears the record.
+        assert!(!a.rate(5, secs(20), BASE, 0));
+        assert!(!a.sheds(5, 10));
+        a.clear();
+        assert_eq!(a.clients_tracked(), 0);
+        assert!(!a.rate(5, secs(21), BASE, 0), "a cleared table serves everyone");
     }
 }

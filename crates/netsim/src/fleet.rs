@@ -41,19 +41,21 @@
 //!
 //! [`ServerModel`] is the capacity side of a public NTP server: a
 //! bounded FIFO service queue (arrivals beyond the backlog cap are
-//! dropped on the floor, as a real socket buffer would) plus the
-//! kiss-o'-death policy of RFC 5905 §7.4. The RATE policy mirrors the
-//! client-side ban bookkeeping in `sntp::health`: a client polling
+//! dropped on the floor, as a real socket buffer would) in front of the
+//! kiss-o'-death policy of RFC 5905 §7.4, which it delegates to
+//! [`crate::admission`] with its backlog as the load. A client polling
 //! faster than the hard floor is always RATEd, and under overload the
 //! floor rises to `overload_min_poll`, which is clamped by construction
-//! to the 64 s back-off `sntp::health` imposes after a RATE kiss — so a
-//! client that honours its ban is never re-RATEd by the same server.
+//! to the 64 s back-off `sntp::pool::HealthConfig` imposes after a RATE
+//! kiss — so a client that honours its ban is never re-RATEd by the same
+//! server.
 
 use std::collections::VecDeque;
 
 use clocksim::rng::SimRng;
 use clocksim::time::{SimDuration, SimTime};
 
+use crate::admission::{Admission, Ladder, Rung};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
 use crate::kernel::Sim;
 use crate::lanes::{ChannelBank, Lane};
@@ -71,8 +73,8 @@ pub struct ServerModelConfig {
     /// than this always draws a RATE kiss, loaded or not.
     pub min_poll_secs: f64,
     /// Per-client minimum poll spacing enforced while overloaded,
-    /// seconds. Clamped to the 64 s RATE ban of `sntp::health` so a
-    /// ban-honouring client can never be re-RATEd.
+    /// seconds. Clamped to the 64 s RATE ban of `sntp::pool::HealthConfig`
+    /// so a ban-honouring client can never be re-RATEd.
     pub overload_min_poll_secs: f64,
     /// Backlog length at which the overload poll floor kicks in.
     pub overload_backlog: usize,
@@ -104,7 +106,8 @@ impl Default for ServerModelConfig {
 /// clients with `shed_strikes` consecutive RATE kisses are *shed*
 /// (silently dropped) before compliant clients lose queue space. A
 /// compliant gap (at or beyond the active floor) clears a client's
-/// strikes. Every rung stays clamped to [`HEALTH_RATE_BAN_SECS`], so
+/// strikes. Every rung stays clamped to
+/// [`HEALTH_RATE_BAN_SECS`](crate::admission::HEALTH_RATE_BAN_SECS), so
 /// the ban-compliance invariant of the base policy carries over.
 #[derive(Clone, Copy, Debug)]
 pub struct DegradationConfig {
@@ -123,11 +126,6 @@ impl Default for DegradationConfig {
         DegradationConfig { ramp_backlog: 16, ramp_min_poll_secs: 16.0, shed_strikes: 3 }
     }
 }
-
-/// The 64 s back-off `sntp::health` applies after a RATE kiss. The
-/// overload poll floor is clamped to this so the server never demands a
-/// longer spacing than the ban the client already serves.
-pub const HEALTH_RATE_BAN_SECS: f64 = 64.0;
 
 /// What the server decided to do with one arrival.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -171,6 +169,11 @@ pub struct ServerModelStats {
 #[derive(Clone, Debug)]
 pub struct ServerModel {
     cfg: ServerModelConfig,
+    /// `cfg.min_poll_secs`, the floor enforced at any backlog.
+    base_floor: SimDuration,
+    /// Per-client RATE and shedding state, judged with the backlog as the
+    /// load.
+    admission: Admission,
     /// Departure times of requests still in service, oldest first.
     /// Monotone non-decreasing, so replies leave in global FIFO order
     /// and a single client's replies can never reorder.
@@ -181,40 +184,32 @@ pub struct ServerModel {
     /// within one driver tick (clients are iterated in id order, not
     /// arrival order — a documented approximation; see DESIGN.md).
     horizon: SimTime,
-    /// Last accepted arrival per client id for the RATE policy, in
-    /// nanoseconds (`i64::MIN` = never seen), indexed by client id and
-    /// grown on demand. Dense storage rather than a map: at fleet scale
-    /// every client shows up, and arrival admission is the server-side
-    /// hot path.
-    last_seen: Vec<i64>,
-    /// Consecutive RATE kisses per client id (ladder shedding), grown
-    /// in lockstep with `last_seen`; unused when the ladder is off.
-    strikes: Vec<u8>,
     /// Counters.
     pub stats: ServerModelStats,
 }
 
 impl ServerModel {
-    /// Empty model. `overload_min_poll_secs` is clamped into
-    /// `[min_poll_secs, HEALTH_RATE_BAN_SECS]`, and the ladder's ramp
-    /// rung into `[min_poll_secs, overload_min_poll_secs]`.
-    pub fn new(mut cfg: ServerModelConfig) -> Self {
-        cfg.overload_min_poll_secs = cfg
-            .overload_min_poll_secs
-            .clamp(cfg.min_poll_secs, HEALTH_RATE_BAN_SECS);
-        if let Some(ladder) = &mut cfg.ladder {
-            ladder.ramp_min_poll_secs = ladder
-                .ramp_min_poll_secs
-                .clamp(cfg.min_poll_secs, cfg.overload_min_poll_secs);
-            ladder.ramp_backlog = ladder.ramp_backlog.min(cfg.overload_backlog);
-        }
+    /// Empty model. The overload floor and the ladder's ramp rung are
+    /// clamped by [`Ladder::clamped`], so neither exceeds the RATE ban.
+    pub fn new(cfg: ServerModelConfig) -> Self {
+        let base_floor = SimDuration::from_secs_f64(cfg.min_poll_secs);
+        let overload = Rung {
+            load: cfg.overload_backlog,
+            floor: SimDuration::from_secs_f64(cfg.overload_min_poll_secs),
+        };
+        let ramp = cfg.ladder.map(|l| Rung {
+            load: l.ramp_backlog,
+            floor: SimDuration::from_secs_f64(l.ramp_min_poll_secs),
+        });
+        let ladder =
+            Ladder::clamped(base_floor, overload, ramp, cfg.ladder.map(|l| l.shed_strikes));
         ServerModel {
             cfg,
+            base_floor,
+            admission: Admission::new(1024, ladder),
             queue: VecDeque::new(),
             busy_until: SimTime::ZERO,
             horizon: SimTime::ZERO,
-            last_seen: Vec::new(),
-            strikes: Vec::new(),
             stats: ServerModelStats::default(),
         }
     }
@@ -223,11 +218,6 @@ impl ServerModel {
     /// arrival processed).
     pub fn backlog(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Configured policy.
-    pub fn config(&self) -> &ServerModelConfig {
-        &self.cfg
     }
 
     /// Admit one request from `client` arriving at `at` and decide its
@@ -242,54 +232,19 @@ impl ServerModel {
         while self.queue.front().is_some_and(|d| *d <= at) {
             self.queue.pop_front();
         }
-        self.stats.peak_backlog = self.stats.peak_backlog.max(self.queue.len());
+        let backlog = self.queue.len();
+        self.stats.peak_backlog = self.stats.peak_backlog.max(backlog);
 
-        let overloaded = self.queue.len() >= self.cfg.overload_backlog;
-        let idx = client as usize;
-
-        // Ladder rung 2, shedding: under overload an arrival from a
-        // client with `shed_strikes` consecutive RATE kisses is dropped
-        // before it can take queue space from a compliant client.
-        if let Some(ladder) = self.cfg.ladder {
-            let strikes = self.strikes.get(idx).copied().unwrap_or(0);
-            if overloaded && strikes >= ladder.shed_strikes {
-                self.stats.shed += 1;
-                return ServiceDecision::Dropped;
-            }
+        let key = u64::from(client);
+        if self.admission.sheds(key, backlog) {
+            self.stats.shed += 1;
+            return ServiceDecision::Dropped;
         }
-
-        if self.queue.len() >= self.cfg.queue_capacity {
+        if backlog >= self.cfg.queue_capacity {
             self.stats.dropped += 1;
             return ServiceDecision::Dropped;
         }
-
-        // RATE policy: hard floor always; with the ladder, the ramp
-        // floor on middling backlog; overload floor (≤ the 64 s health
-        // ban) while the backlog is deep.
-        let ramp_floor = self.cfg.ladder.and_then(|l| {
-            (self.queue.len() >= l.ramp_backlog).then_some(l.ramp_min_poll_secs)
-        });
-        let prev = self.last_seen.get(idx).copied().unwrap_or(i64::MIN);
-        let kod = prev != i64::MIN && {
-            let gap = (at - SimTime(prev)).as_secs_f64();
-            gap < self.cfg.min_poll_secs
-                || (overloaded && gap < self.cfg.overload_min_poll_secs)
-                || ramp_floor.is_some_and(|floor| gap < floor)
-        };
-        if idx >= self.last_seen.len() {
-            self.last_seen.resize(idx + 1, i64::MIN);
-        }
-        if let Some(slot) = self.last_seen.get_mut(idx) {
-            *slot = at.as_nanos();
-        }
-        if self.cfg.ladder.is_some() {
-            if idx >= self.strikes.len() {
-                self.strikes.resize(idx + 1, 0);
-            }
-            if let Some(slot) = self.strikes.get_mut(idx) {
-                *slot = if kod { slot.saturating_add(1) } else { 0 };
-            }
-        }
+        let kod = self.admission.rate(key, at.as_nanos(), Some(self.base_floor), backlog);
 
         let start = self.busy_until.max(at);
         let depart = start + self.cfg.service_time;
@@ -315,8 +270,7 @@ impl ServerModel {
         self.horizon = at;
         self.busy_until = at;
         self.queue.clear();
-        self.last_seen.clear();
-        self.strikes.clear();
+        self.admission.clear();
         self.stats.restarts += 1;
     }
 }
@@ -525,6 +479,7 @@ impl FleetNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::HEALTH_RATE_BAN_SECS;
 
     fn secs(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
@@ -601,10 +556,25 @@ mod tests {
     fn overload_floor_never_exceeds_health_ban() {
         let cfg = ServerModelConfig {
             overload_min_poll_secs: 500.0, // misconfigured: must clamp
+            service_time: SimDuration::from_secs_f64(1000.0),
+            overload_backlog: 1,
             ..ServerModelConfig::default()
         };
-        let m = ServerModel::new(cfg);
-        assert!(m.config().overload_min_poll_secs <= HEALTH_RATE_BAN_SECS);
+        let mut m = ServerModel::new(cfg);
+        // The 1000 s service keeps every admitted request queued, so the
+        // server is overloaded from the second arrival on.
+        m.on_arrival(1, secs(0.0));
+        m.on_arrival(0, secs(1.0));
+        // One ban later client 0 is served: the floor was clamped to the
+        // ban. Inside the ban it is still RATEd.
+        assert!(matches!(
+            m.on_arrival(0, secs(1.0 + HEALTH_RATE_BAN_SECS)),
+            ServiceDecision::Served { kod: false, .. }
+        ));
+        assert!(matches!(
+            m.on_arrival(0, secs(100.0)),
+            ServiceDecision::Served { kod: true, .. }
+        ));
     }
 
     #[test]
@@ -816,6 +786,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::admission::HEALTH_RATE_BAN_SECS;
     use devtools::prop;
     use devtools::{prop_assert, props};
 
@@ -854,8 +825,8 @@ mod proptests {
             }
         }
 
-        /// RFC 5905 ban compliance: a client spaced at or beyond the
-        /// 64 s RATE back-off of `sntp::health` is never RATEd, no
+        /// RFC 5905 ban compliance: a client spaced at or beyond the 64 s
+        /// RATE back-off of `sntp::pool::HealthConfig` is never RATEd, no
         /// matter what load the rest of the fleet applies — the overload
         /// poll floor is clamped to the ban by construction.
         fn ban_honoring_client_never_rated(

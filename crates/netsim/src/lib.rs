@@ -27,6 +27,10 @@
 //!   domains (regional loss storms and delay spikes, server outages
 //!   with scheduled restarts, falseticker onset, clock-step waves),
 //!   queryable statelessly from any shard.
+//! * [`admission`] — the one copy of the server-side RATE kiss-o'-death
+//!   rule: per-client last-seen and strike tables, load-selected floors
+//!   and strike shedding, shared by every simulated server (`sntp`'s
+//!   `SimServer` and `ServerCore`, and [`fleet::ServerModel`]).
 //! * [`pcap`] — a libpcap writer: simulated exchanges dump to `.pcap`
 //!   files openable in Wireshark (the paper's pipeline was built on
 //!   tcpdump captures of exactly this traffic).
@@ -44,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod cellular;
 pub mod chaos;
 pub mod crosstraffic;

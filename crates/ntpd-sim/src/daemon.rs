@@ -10,12 +10,11 @@
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::SimClock;
 use netsim::Testbed;
+use sntp::select::{cluster, combine, select_survivors, PeerCandidate};
 use sntp::ServerPool;
 
 use crate::clock_filter::{ClockFilter, FilterSample};
-use crate::cluster::{cluster, combine};
 use crate::discipline::{Discipline, DisciplineConfig, DisciplineVerdict};
-use crate::select::{select_survivors, PeerCandidate};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]

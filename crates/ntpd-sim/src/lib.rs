@@ -10,11 +10,12 @@
 //! * [`clock_filter`] — per-peer 8-stage shift register; the sample with
 //!   the minimum delay among the last eight wins (delay and offset error
 //!   are correlated, so minimum-delay picking strips most path noise).
-//! * [`select`] — Marzullo-style intersection: find the largest clique of
-//!   peers whose correctness intervals overlap; the rest are falsetickers.
-//! * [`cluster`] — among survivors, iteratively discard the peer with the
-//!   worst selection jitter, then [`cluster::combine`] the remainder into
-//!   one offset weighted by root distance.
+//! * selection, clustering and combining come from [`sntp::select`], the
+//!   one copy every multi-server client stack shares: Marzullo-style
+//!   intersection finds the largest clique of peers whose correctness
+//!   intervals overlap (the rest are falsetickers); among survivors the
+//!   peer with the worst selection jitter is discarded, iteratively, and
+//!   the remainder is combined into one offset weighted by root distance.
 //! * [`discipline`] — the PLL/FLL hybrid loop: phase and frequency
 //!   corrections, 128 ms step threshold, adaptive poll interval.
 //! * [`huffpuff`] — the huff-n'-puff one-sided-congestion filter, NTP's
@@ -32,14 +33,11 @@
 #![warn(missing_docs)]
 
 pub mod clock_filter;
-pub mod cluster;
 pub mod daemon;
 pub mod discipline;
 pub mod huffpuff;
-pub mod select;
 
 pub use clock_filter::{ClockFilter, FilterSample};
 pub use huffpuff::HuffPuff;
 pub use daemon::{run_ntpd, run_ntpd_faulted, Ntpd, NtpdConfig, NtpdDiscipline, NtpdRun};
 pub use discipline::{Discipline, DisciplineConfig};
-pub use select::{select_survivors, PeerCandidate};

@@ -68,6 +68,4 @@ pub use pool::{
 pub use retry::{Backoff, BackoffConfig};
 pub use select::{cluster, combine, select_survivors, PeerCandidate, MIN_SURVIVORS};
 pub use server::SimServer;
-pub use server_core::{
-    CoreConfig, CoreDegradation, CoreStats, RateTable, ReplyRing, RequestRing, ServerCore,
-};
+pub use server_core::{CoreConfig, CoreStats, ReplyRing, RequestRing, ServerCore};

@@ -252,7 +252,9 @@ pub struct HealthConfig {
     pub demote_growth: f64,
     /// …up to this cap, seconds.
     pub max_demote_secs: f64,
-    /// Extra spacing honored after a `RATE` kiss code, seconds.
+    /// Extra spacing honored after a `RATE` kiss code, seconds. The
+    /// default equals `netsim::admission::HEALTH_RATE_BAN_SECS`, the cap
+    /// on every server-side load floor.
     pub rate_backoff_secs: f64,
     /// Blacklist duration after `DENY`/`RSTR` (access refused — treat
     /// the server as gone for a long time), seconds.
@@ -435,6 +437,17 @@ impl HealthTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A client that waits out this back-off after a RATE kiss is never
+    /// RATE'd again only because every server-side load floor is capped
+    /// at the same ban (`netsim::admission::Ladder::clamped`).
+    #[test]
+    fn rate_backoff_matches_server_ban() {
+        assert_eq!(
+            HealthConfig::default().rate_backoff_secs,
+            netsim::admission::HEALTH_RATE_BAN_SECS
+        );
+    }
 
     #[test]
     fn pool_has_mostly_good_servers() {

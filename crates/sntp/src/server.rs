@@ -10,10 +10,9 @@ use clocksim::rng::SimRng;
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::ClockControl;
 use clocksim::ReferenceClock;
+use netsim::admission::{Admission, Ladder};
 use netsim::link::Link;
 use ntp_wire::{refid::RefId, sntp_profile, NtpPacket, WireError};
-
-use crate::server_core::RateTable;
 
 /// A simulated NTP server.
 pub struct SimServer {
@@ -39,11 +38,13 @@ pub struct SimServer {
     pub rng: SimRng,
     /// Kiss-o'-death rate limiting: minimum spacing between requests
     /// from one client before the server answers `RATE` (public pool
-    /// servers enforce exactly this against abusive SNTP clients).
+    /// servers enforce exactly this against abusive SNTP clients). Read
+    /// on every request, so a fault plan may rewrite it between
+    /// exchanges.
     pub min_poll_interval: Option<SimDuration>,
-    /// Per-client arrival times of the previous request (rate-limit
-    /// state, keyed the way a real pool server keys it: by source).
-    last_request: RateTable,
+    /// Per-client rate-limit state, keyed the way a real pool server
+    /// keys it: by source.
+    admission: Admission,
     /// KoD replies sent (diagnostics).
     pub kod_sent: u64,
 }
@@ -69,8 +70,8 @@ impl SimServer {
 
     /// Answer a request from a specific client key (source surrogate).
     /// Rate limiting compares this client's arrival spacing only against
-    /// its own previous request, exactly like the batched
-    /// [`crate::server_core::ServerCore`] pipeline.
+    /// its own previous request: the same admission verdict one shard of
+    /// the batched [`crate::server_core::ServerCore`] pipeline reaches.
     pub fn handle_from(
         &mut self,
         client: u64,
@@ -79,12 +80,7 @@ impl SimServer {
     ) -> Result<(Vec<u8>, SimTime), WireError> {
         let request = NtpPacket::parse(request_bytes)?;
         // Rate limiting: answer a kiss-o'-death instead of time.
-        let mut too_fast = false;
-        if let Some(min) = self.min_poll_interval {
-            let arrival_ns = arrival.as_nanos();
-            let prev = self.last_request.upsert(client, arrival_ns);
-            too_fast = prev.is_some_and(|p| arrival_ns - p < min.as_nanos());
-        }
+        let too_fast = self.admission.rate(client, arrival.as_nanos(), self.min_poll_interval, 0);
         let departure = arrival + self.proc_delay;
         Ok(self.serve(&request, arrival, departure, too_fast))
     }
@@ -135,7 +131,7 @@ impl SimServer {
             true_error_ms: error_ms,
             rng: rng.fork(1000 + id as u64),
             min_poll_interval: None,
-            last_request: RateTable::with_capacity(16),
+            admission: Admission::new(16, Ladder::default()),
             kod_sent: 0,
         }
     }

@@ -126,10 +126,6 @@ pub enum Fate {
     /// The datagram failed structural validation; its reply slot stays
     /// zeroed and nothing is sent.
     Malformed,
-    /// A valid request from a repeat rate-limit offender, dropped without
-    /// any reply while the engine is overloaded (the degradation ladder's
-    /// priority shed). The slot stays zeroed and nothing is sent.
-    Shed,
 }
 
 /// The outbound side: one 48-byte reply slot plus one [`Fate`] per

@@ -12,21 +12,20 @@
 //! Semantics are pinned to the sim: a `ServerCore` with clock error *e*
 //! produces byte-for-byte the replies a wobble-free `SimServer` would,
 //! including kiss-o'-death fates — property-tested in
-//! `crates/sntp/tests/server_core_equivalence.rs`. Scale-out is
+//! `tests/server_core_equivalence.rs` at the repository root, which also
+//! pins the RATE verdicts to `netsim::fleet::ServerModel`'s. All three
+//! servers decide RATE through the same `netsim::admission::Admission`;
+//! `SimServer` is the one-request-batch case of a shard. Scale-out is
 //! deterministic: per-client shard routing plus a serial positional merge
 //! keeps the reply stream identical at any (shards, jobs); throughput is
 //! tracked by the `server_core_*` benches against
 //! `results/bench/baseline.json`.
 //!
 //! * [`arena`] — [`RequestRing`] / [`ReplyRing`] slot arenas and [`Fate`].
-//! * [`table`] — [`RateTable`]: sparse per-client last-seen ticks
-//!   (open addressing, Fibonacci hashing) and [`shard_of`] routing.
 //! * [`pipeline`] — [`ServerCore`]: the staged engine itself.
 
 pub mod arena;
 pub mod pipeline;
-pub mod table;
 
 pub use arena::{Fate, ReplyRing, RequestMeta, RequestRing, SLOT};
-pub use pipeline::{CoreConfig, CoreDegradation, CoreStats, ServerCore};
-pub use table::{shard_of, RateTable};
+pub use pipeline::{CoreConfig, CoreStats, ServerCore};

@@ -51,7 +51,7 @@ cargo test -q --release --offline --test parallel_equivalence fleet
 echo "== chaos fleet: fault timeline is jobs-invariant, lockstep replay =="
 cargo test -q --release --offline --test parallel_equivalence chaos
 
-echo "== server core: pinned to SimServer, (shards, jobs)-invariant =="
+echo "== servers: ServerCore, SimServer and ServerModel agree on RATE; (shards, jobs)-invariant =="
 cargo test -q --release --offline --test server_core_equivalence
 cargo test -q --release --offline --test parallel_equivalence servercore
 
@@ -60,5 +60,12 @@ cargo test -q --release --offline --test streaming_equivalence
 
 echo "== full-scale pipeline is (shards, jobs)-invariant =="
 cargo test -q --release --offline --test parallel_equivalence fullscale
+
+# e2ebench/ is a standalone package outside the workspace, so the steps
+# above never compile it; build and test it here so an API move in the
+# crates it calls cannot break it unnoticed.
+echo "== end-to-end benchmark package builds and passes its tests =="
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
 echo "CI OK"

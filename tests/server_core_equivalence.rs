@@ -1,11 +1,13 @@
-//! The batched server engine is behaviorally pinned to `SimServer`.
+//! The three simulated servers are behaviorally pinned to each other.
 //!
 //! Two contracts, both property-tested over generated request streams:
 //!
 //! 1. **Per-packet equivalence** — `ServerCore::process_batch` produces
 //!    byte-for-byte the reply stream a wobble-free `SimServer` produces
 //!    when fed the same datagrams one at a time through `handle_from`,
-//!    including kiss-o'-death fates and malformed rejections.
+//!    including kiss-o'-death fates and malformed rejections. The fleet's
+//!    `ServerModel`, set up as a pure rate limiter (a queue that never
+//!    fills or overloads), RATEs exactly the requests `ServerCore` does.
 //! 2. **(shards, jobs) invariance** — the sharded engine's reply stream
 //!    is identical to the serial reference at every shard count and pool
 //!    size (the acceptance pin for deterministic scale-out).
@@ -21,6 +23,7 @@ use devtools::prop::{self, Gen};
 use devtools::{prop_assert, prop_assert_eq, props};
 use mntp_repro::clocksim::time::{SimDuration, SimTime};
 use mntp_repro::clocksim::{ReferenceClock, SimRng};
+use mntp_repro::netsim::fleet::{ServerModel, ServerModelConfig, ServiceDecision};
 use mntp_repro::ntp_wire::{
     refid::RefId, sntp_profile, NtpDuration, NtpPacket, NtpTimestamp, PACKET_LEN,
 };
@@ -93,6 +96,20 @@ fn reference_server() -> SimServer {
     s
 }
 
+/// A fleet `ServerModel` reduced to its rate limiter: the same floor as
+/// `engine_config`, a queue deeper than any generated stream (nothing
+/// drops) and an overload threshold no stream reaches (the base floor is
+/// the only one in force), no ladder.
+fn reference_model() -> ServerModel {
+    ServerModel::new(ServerModelConfig {
+        min_poll_secs: MIN_POLL_SECS as f64,
+        queue_capacity: 1024,
+        overload_backlog: 1024,
+        ladder: None,
+        ..ServerModelConfig::default()
+    })
+}
+
 props! {
     /// Batched replies == per-packet `SimServer` replies, byte for byte,
     /// fate for fate — including which requests get RATE kisses.
@@ -128,6 +145,28 @@ props! {
         }
         prop_assert_eq!(core.stats().kod, server.kod_sent);
         prop_assert_eq!(core.stats().total(), reqs.len() as u64);
+
+        // The fleet model sees only the valid requests (a malformed one
+        // never reaches admission) and must RATE exactly where the
+        // engine wrote a kiss.
+        let mut model = reference_model();
+        for (idx, meta) in reqs.meta().iter().enumerate() {
+            let fate = out.fate(idx);
+            if fate == Some(Fate::Malformed) {
+                continue;
+            }
+            match model.on_arrival(meta.client as u32, meta.arrival) {
+                ServiceDecision::Served { kod, .. } => prop_assert!(
+                    kod == (fate == Some(Fate::Kod)),
+                    "ServerModel RATE verdict diverged at request {} (client {})",
+                    idx, meta.client
+                ),
+                ServiceDecision::Dropped => {
+                    prop_assert!(false, "pure rate limiter dropped request {}", idx)
+                }
+            }
+        }
+        prop_assert_eq!(model.stats.kod_sent, core.stats().kod);
     }
 
     /// The reply stream is invariant across the whole (shards, jobs)
