@@ -47,7 +47,7 @@ fn bench_reestimation(s: &mut Suite) {
 /// Algorithm 1.
 fn bench_warmup_sources(s: &mut Suite) {
     use experiments::harness::{default_pool, ClockMode};
-    use mntp::{run_full, MntpConfig};
+    use mntp::{drive, DriverConfig, MntpConfig, MntpDiscipline};
     use netsim::testbed::TestbedConfig;
     use netsim::Testbed;
 
@@ -64,7 +64,8 @@ fn bench_warmup_sources(s: &mut Suite) {
                 let mut tb = Testbed::wireless(TestbedConfig::default(), 4);
                 let mut pool = default_pool(5);
                 let mut clock = ClockMode::free_running_default().build(6);
-                run_full(cfg, &mut tb, &mut pool, &mut clock, 600, 1.0)
+                let mut d = MntpDiscipline::full(cfg);
+                drive(&mut d, &mut tb, &mut pool, &mut clock, None, &DriverConfig::span(600, 1.0))
             })
         });
     }

@@ -11,7 +11,8 @@ use clocksim::rng::SimRng;
 use clocksim::time::{SimDuration, SimTime};
 use mntp::TrendFilter;
 use netsim::kernel::Sim;
-use netsim::wifi::{WifiChannel, WifiConfig};
+use netsim::lanes::ChannelBank;
+use netsim::wifi::WifiConfig;
 use ntp_wire::{sntp_profile, Exchange, NtpPacket, NtpTimestamp};
 use sntp::select::{select_survivors, PeerCandidate};
 
@@ -153,21 +154,22 @@ fn bench_par_pool(s: &mut Suite) {
 }
 
 fn bench_wifi_channel(s: &mut Suite) {
+    // One station on a one-lane bank: the testbed's wireless hop.
     s.bench("wifi_transmit_down", |b| {
-        let mut ch = WifiChannel::new(WifiConfig::default(), SimRng::new(4));
+        let mut ch = ChannelBank::new(WifiConfig::default(), vec![SimRng::new(4)]);
         ch.set_utilization_now(0.6);
         let mut t = 0i64;
         b.iter(|| {
             t += 100;
-            ch.transmit_down(SimTime::from_millis(t))
+            ch.lane(0).and_then(|mut lane| lane.transmit_down(SimTime::from_millis(t)))
         })
     });
     s.bench("wifi_hints", |b| {
-        let mut ch = WifiChannel::new(WifiConfig::default(), SimRng::new(5));
+        let mut ch = ChannelBank::new(WifiConfig::default(), vec![SimRng::new(5)]);
         let mut t = 0i64;
         b.iter(|| {
             t += 100;
-            ch.hints(SimTime::from_millis(t))
+            ch.lane(0).map(|mut lane| lane.hints(SimTime::from_millis(t)))
         })
     });
 }
@@ -188,41 +190,34 @@ fn bench_exchange(s: &mut Suite) {
     });
 }
 
-fn bench_scheduler_backends(s: &mut Suite) {
-    use netsim::kernel::SchedulerKind;
-    // Same self-rescheduling poll-timer workload on both queue backends:
+fn bench_scheduler(s: &mut Suite) {
     // 4096 concurrent timers rescheduling at mixed 64 ms – 8 s cadences
     // until ~20k events have fired — the bounded-horizon, deep-queue
-    // shape the fleet presents (one poll timer per client), where the
-    // heap pays log(pending) per op. The heap variant is the reference
-    // for the speedup claim.
-    for (name, kind) in [
-        ("timing_wheel_poll_timers_4k", SchedulerKind::Wheel),
-        ("binary_heap_poll_timers_4k", SchedulerKind::Heap),
-    ] {
-        s.bench(name, move |b| {
-            b.iter(|| {
-                let mut sim: Sim<u64> = Sim::with_scheduler(kind);
-                let mut world = 0u64;
-                fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                    *w += 1;
-                    if *w < 20_000 {
-                        let d = 64i64 << (*w % 8);
-                        sim.schedule_fn_in(SimDuration::from_millis(d), tick);
-                    }
+    // shape the fleet presents (one poll timer per client).
+    s.bench("timing_wheel_poll_timers_4k", |b| {
+        b.iter(|| {
+            let mut sim: Sim<u64> = Sim::new();
+            let mut world = 0u64;
+            fn tick(w: &mut u64, sim: &mut Sim<u64>) {
+                *w += 1;
+                if *w < 20_000 {
+                    let d = 64i64 << (*w % 8);
+                    sim.schedule_fn_in(SimDuration::from_millis(d), tick);
                 }
-                for i in 0..4096 {
-                    sim.schedule_fn_at(SimTime::from_millis(i), tick);
-                }
-                sim.run_to_completion(&mut world);
-                world
-            })
-        });
-    }
+            }
+            for i in 0..4096 {
+                sim.schedule_fn_at(SimTime::from_millis(i), tick);
+                sim.schedule_fn_at(SimTime::from_millis(i), tick);
+            }
+            sim.run_to_completion(&mut world);
+            world
+        })
+    });
 }
 
 fn bench_fleet_kernel(s: &mut Suite) {
-    use mntp::{run_fleet, Discipline, FleetClient, FleetRunConfig, SntpDiscipline};
+    use devtools::par::Pool;
+    use mntp::{run_fleet_on, Discipline, FleetClient, FleetRunConfig, SntpDiscipline};
     use netsim::fleet::{FleetConfig, FleetNet};
     use sntp::fleet::RequestShape;
     use sntp::{PickLane, PoolConfig, ServerPool};
@@ -258,9 +253,10 @@ fn bench_fleet_kernel(s: &mut Suite) {
             collect_arrivals: false,
             steady_cutoff_secs: None,
         };
+        let serial = Pool::with_jobs(1);
         b.iter(|| {
             let mut clients = naive_clients(1000);
-            run_fleet(&mut clients, &mut net, &mut pool, &cfg).polls_sent
+            run_fleet_on(&serial, &mut clients, &mut net, &mut pool, &cfg).polls_sent
         })
     });
     // Same shape at N=100k with 8 kernel shards: the cache-linear
@@ -279,9 +275,10 @@ fn bench_fleet_kernel(s: &mut Suite) {
             collect_arrivals: false,
             steady_cutoff_secs: Some(1.0),
         };
+        let serial = Pool::with_jobs(1);
         b.iter(|| {
             let mut clients = naive_clients(100_000);
-            run_fleet(&mut clients, &mut net, &mut pool, &cfg).polls_sent
+            run_fleet_on(&serial, &mut clients, &mut net, &mut pool, &cfg).polls_sent
         })
     });
 }
@@ -564,7 +561,7 @@ fn main() {
     bench_trend_filter(&mut s);
     bench_select(&mut s);
     bench_des_kernel(&mut s);
-    bench_scheduler_backends(&mut s);
+    bench_scheduler(&mut s);
     bench_par_pool(&mut s);
     bench_wifi_channel(&mut s);
     bench_exchange(&mut s);

@@ -5,9 +5,9 @@
 //! servers to ask, what to make of each reply, and which clock commands
 //! to emit. The *mechanics* — ticking simulated time, carrying packets
 //! through the (possibly fault-injected) network, applying clock
-//! commands, sampling ground truth — live in exactly one place, the
-//! generic [`crate::driver::drive`] loop. Three disciplines ship
-//! in-tree:
+//! commands, sampling ground truth — live in the generic drivers:
+//! [`crate::driver::drive`] for one client, [`crate::fleet::run_fleet_on`]
+//! for a fleet. Three disciplines ship in-tree:
 //!
 //! * [`SntpDiscipline`] — naive SNTP (fixed cadence, step on every
 //!   reply) and the paper's §5.1 gate+filter baseline, selected by
@@ -116,7 +116,7 @@ enum RoundKind {
 
 /// The full MNTP Algorithm 1 engine as a [`Discipline`].
 ///
-/// Three configurations, matching the three historical driver loops:
+/// Three configurations:
 /// [`full`](MntpDiscipline::full) (plain engine),
 /// [`autotuned`](MntpDiscipline::autotuned) (AIMD wait tuning), and
 /// [`hardened`](MntpDiscipline::hardened) (health-tracked server
@@ -461,7 +461,7 @@ pub struct SntpDiscipline {
     filter: Option<TrendFilter>,
     step_on_reply: bool,
     /// Self-paced cadence, seconds. `None` means "query every driver
-    /// tick" (the historical single-client loops tick at the poll
+    /// tick" (single-client `drive` runs tick at the poll
     /// period); the fleet world ticks faster than any one client polls,
     /// so fleet clients pace themselves.
     poll_period_secs: Option<f64>,

@@ -1,28 +1,38 @@
-//! The one generic driver that runs every client stack against a
-//! simulated testbed.
+//! The generic driver that runs one client stack against a simulated
+//! testbed.
 //!
-//! Historically this module held four hand-rolled loops (`run_full`,
-//! `run_full_autotuned`, `run_full_faulted`, `run_baseline`) and
-//! `ntpd-sim` carried two more — six copies of the same tick/exchange/
-//! apply/sample skeleton. They are now thin wrappers over [`drive`],
-//! which ticks a [`crate::discipline::Discipline`] through simulated
+//! [`drive`] ticks a [`crate::discipline::Discipline`] through simulated
 //! time: ask the discipline what to do, carry each requested exchange
 //! across the (possibly fault-injected) network, hand the round back,
-//! apply emitted clock commands, and sample ground-truth clock error.
+//! apply emitted clock commands, and sample ground-truth clock error. A
+//! [`DriverConfig`] sets the tick grid, the sampling cadence and the
+//! per-query timeout; [`DriverConfig::span`] builds the common one.
+//! [`crate::fleet::run_fleet_on`] is the N-client counterpart.
 //!
-//! Every wrapper reproduces its historical loop *byte-identically* —
-//! same RNG consumption order, same clock reads, same record stream —
-//! which is what keeps all committed `results/*.txt` artifacts stable
-//! across the refactor (re-proved by full regeneration and by
-//! `tests/parallel_equivalence.rs`).
+//! Every single-device arm that fits that skeleton calls [`drive`]
+//! directly. A few experiment loops do not fit it and loop by hand:
+//!
+//! * `experiments::harness::paired_run` interleaves an SNTP and an MNTP
+//!   client on one clock within each tick — two clients in lockstep,
+//!   where `drive` runs one. `harness::sntp_run` is its SNTP half alone,
+//!   a raw sampler that keeps every reported offset and loss.
+//! * `experiments::ablations::run_arm` samples hints on every tick even
+//!   with its gate off, so all arms see the same channel draws; `drive`
+//!   deliberately samples hints only for disciplines that read them.
+//! * `experiments::extended`'s SNTP, vendor and huff-n'-puff arms do
+//!   per-poll work no discipline has a hook for: radio-energy metering,
+//!   a vendor policy's own state machine, two estimators over one
+//!   sample stream.
+//! * `experiments::validation` drives the bare engine and trend filter
+//!   to read their internal estimates, and `tuner::record_trace` logs
+//!   hints and per-source offsets without ever correcting the clock.
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::SimClock;
 use netsim::{FaultInjector, Testbed, WirelessHints};
-use sntp::{perform_exchange, perform_exchange_faulted, HealthConfig, ServerPool};
+use sntp::{perform_exchange_with, HealthConfig, ServerPool};
 
-use crate::config::MntpConfig;
-use crate::discipline::{Directive, Discipline, ExchangeResult, MntpDiscipline, SntpDiscipline};
+use crate::discipline::{Directive, Discipline, ExchangeResult};
 
 /// What happened at one query instant.
 #[derive(Clone, Debug, PartialEq)]
@@ -163,24 +173,37 @@ pub struct DriverConfig {
     /// `true`: sample ground-truth clock error on every tick (the
     /// baseline loops); `false`: sample every ~5 s of simulated time.
     pub sample_every_tick: bool,
-    /// Per-exchange round-trip budget; only consulted on the faulted
-    /// path.
+    /// Per-exchange round-trip budget: replies arriving later are
+    /// abandoned and the query fails with `ExchangeError::Timeout`.
     pub timeout: Option<SimDuration>,
+}
+
+impl DriverConfig {
+    /// Cover `duration_secs` of simulated time in ticks of `tick_secs`
+    /// (`ceil(duration / tick)` ticks after the one at zero), sampling
+    /// ground truth every ~5 s, with no timeout.
+    pub fn span(duration_secs: u64, tick_secs: f64) -> Self {
+        DriverConfig {
+            ticks: (duration_secs as f64 / tick_secs).ceil() as u64,
+            tick_secs,
+            sample_every_tick: false,
+            timeout: None,
+        }
+    }
 }
 
 /// Run a [`Discipline`] against the testbed for `cfg.ticks` ticks.
 ///
-/// This is the *single* driver loop in the workspace. Per tick:
+/// The single-device driver loop (see the module docs for the loops
+/// that stay hand-written). Per tick:
 ///
 /// 1. sample wireless hints, iff the discipline wants them (sampling
 ///    advances the testbed's background processes, so hint-blind
 ///    clients must not trigger it);
 /// 2. [`Discipline::poll`] — the discipline reads its clock and decides;
-/// 3. one exchange per requested server, through
-///    [`perform_exchange_faulted`] when a fault injector is supplied
-///    and [`perform_exchange`] otherwise (the two are *not* equivalent
-///    even with an empty schedule: the faulted path consults the
-///    injector's RNG);
+/// 3. one exchange per requested server through
+///    [`perform_exchange_with`], with the fault injector when one is
+///    supplied and under `cfg.timeout`;
 /// 4. [`Discipline::complete`] digests the round and optionally yields
 ///    a record;
 /// 5. emitted clock commands are applied at the tick instant;
@@ -211,17 +234,15 @@ pub fn drive(
                 let mut round = Vec::with_capacity(ids.len());
                 for id in ids {
                     run.polls_sent += 1;
-                    let outcome = match faults.as_deref_mut() {
-                        Some(f) => perform_exchange_faulted(
-                            testbed,
-                            pool.server_mut(id),
-                            clock,
-                            t,
-                            f,
-                            cfg.timeout,
-                        ),
-                        None => perform_exchange(testbed, pool.server_mut(id), clock, t),
-                    };
+                    let outcome = perform_exchange_with(
+                        testbed,
+                        pool.server_mut(id),
+                        clock,
+                        t,
+                        faults.as_deref_mut(),
+                        cfg.timeout,
+                        None,
+                    );
                     round.push(ExchangeResult { server_id: id, outcome });
                 }
                 if let Some(outcome) = discipline.complete(t, clock, &round) {
@@ -241,59 +262,10 @@ pub fn drive(
     run
 }
 
-/// Run the full Algorithm 1 engine for `duration_secs` of simulated time.
-///
-/// The engine is ticked once per `tick_secs` (1 s is the paper-faithful
-/// choice: `wait(favorableSNRCondition())` re-checks the channel each
-/// second). Clock commands are applied to `clock` as they are emitted.
-pub fn run_full(
-    cfg: MntpConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    duration_secs: u64,
-    tick_secs: f64,
-) -> MntpRun {
-    let mut d = MntpDiscipline::full(cfg);
-    let dcfg = DriverConfig {
-        ticks: (duration_secs as f64 / tick_secs).ceil() as u64,
-        tick_secs,
-        sample_every_tick: false,
-        timeout: None,
-    };
-    drive(&mut d, testbed, pool, clock, None, &dcfg)
-}
-
-/// Run the full engine with the AIMD self-tuner adjusting the
-/// regular-phase wait online (the paper's §7 future work). Identical to
-/// [`run_full`] otherwise.
-pub fn run_full_autotuned(
-    cfg: MntpConfig,
-    tune: crate::autotune::AutoTuneConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    duration_secs: u64,
-    tick_secs: f64,
-) -> (MntpRun, crate::autotune::AutoTuner) {
-    let mut d = MntpDiscipline::autotuned(cfg, tune.clone());
-    let dcfg = DriverConfig {
-        ticks: (duration_secs as f64 / tick_secs).ceil() as u64,
-        tick_secs,
-        sample_every_tick: false,
-        timeout: None,
-    };
-    let run = drive(&mut d, testbed, pool, clock, None, &dcfg);
-    let tuner = d.into_tuner().unwrap_or_else(|| crate::autotune::AutoTuner::new(tune));
-    (run, tuner)
-}
-
-/// Configuration of the hardened, fault-aware driver.
+/// Configuration of the hardened client stack
+/// ([`crate::discipline::MntpDiscipline::hardened`]).
 #[derive(Clone, Debug)]
 pub struct RobustConfig {
-    /// Per-query round-trip budget, seconds; replies arriving later are
-    /// abandoned and the query counts as failed.
-    pub timeout_secs: f64,
     /// Per-server health policy (reachability register, demotion bans,
     /// kiss-o'-death honoring).
     pub health: HealthConfig,
@@ -303,69 +275,15 @@ pub struct RobustConfig {
 
 impl Default for RobustConfig {
     fn default() -> Self {
-        RobustConfig { timeout_secs: 1.0, health: HealthConfig::default(), health_seed: 0x4d4e5450 }
+        RobustConfig { health: HealthConfig::default(), health_seed: 0x4d4e5450 }
     }
-}
-
-/// Run the full engine through the hardened client stack against a
-/// fault-injecting network.
-///
-/// Identical tick structure to [`run_full`], with three changes:
-///
-/// * server selection goes through a [`sntp::HealthTracker`] instead of
-///   the pool's uniform pick, so blackholed / rate-limiting servers are
-///   demoted and traffic fails over;
-/// * every exchange runs under [`perform_exchange_faulted`] with a
-///   per-query timeout, so the injected faults (§ fault model in
-///   DESIGN.md) actually bite;
-/// * kiss-o'-death replies ban the offending server and are recorded as
-///   [`QueryOutcome::KissODeath`]; failed holdover probes are recorded
-///   as [`QueryOutcome::HoldoverFailed`] with the freewheel prediction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_full_faulted(
-    cfg: MntpConfig,
-    rcfg: RobustConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    faults: &mut FaultInjector,
-    duration_secs: u64,
-    tick_secs: f64,
-) -> MntpRun {
-    let timeout = Some(SimDuration::from_secs_f64(rcfg.timeout_secs));
-    let mut d = MntpDiscipline::hardened(cfg, &rcfg, pool.len());
-    let dcfg = DriverConfig {
-        ticks: (duration_secs as f64 / tick_secs).ceil() as u64,
-        tick_secs,
-        sample_every_tick: false,
-        timeout,
-    };
-    drive(&mut d, testbed, pool, clock, Some(faults), &dcfg)
-}
-
-/// Run the §5.1 baseline: poll every `poll_secs`, gate + filter only, no
-/// phases, no drift correction, clock untouched.
-pub fn run_baseline(
-    cfg: MntpConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    duration_secs: u64,
-    poll_secs: f64,
-) -> MntpRun {
-    let mut d = SntpDiscipline::baseline(&cfg);
-    let dcfg = DriverConfig {
-        ticks: (duration_secs as f64 / poll_secs).floor() as u64,
-        tick_secs: poll_secs,
-        sample_every_tick: true,
-        timeout: None,
-    };
-    drive(&mut d, testbed, pool, clock, None, &dcfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MntpConfig;
+    use crate::discipline::{MntpDiscipline, SntpDiscipline};
     use clocksim::{OscillatorConfig, SimRng};
     use netsim::testbed::TestbedConfig;
     use sntp::PoolConfig;
@@ -375,13 +293,37 @@ mod tests {
         SimClock::new(osc, SimTime::ZERO)
     }
 
+    /// The §5.1 baseline: poll every 5 s, gate + filter only, ground
+    /// truth on every tick.
+    fn baseline(tb: &mut Testbed, pool: &mut ServerPool, c: &mut SimClock, secs: u64) -> MntpRun {
+        let mut d = SntpDiscipline::baseline(&MntpConfig::baseline(5.0));
+        let dcfg = DriverConfig { sample_every_tick: true, ..DriverConfig::span(secs, 5.0) };
+        drive(&mut d, tb, pool, c, None, &dcfg)
+    }
+
+    /// The hardened engine through a fault layer, 1 s query timeout.
+    fn hardened(
+        cfg: MntpConfig,
+        tb: &mut Testbed,
+        pool: &mut ServerPool,
+        c: &mut SimClock,
+        faults: &mut FaultInjector,
+        secs: u64,
+    ) -> MntpRun {
+        let mut d = MntpDiscipline::hardened(cfg, &RobustConfig::default(), pool.len());
+        let dcfg = DriverConfig {
+            timeout: Some(SimDuration::from_secs(1)),
+            ..DriverConfig::span(secs, 1.0)
+        };
+        drive(&mut d, tb, pool, c, Some(faults), &dcfg)
+    }
+
     #[test]
     fn baseline_run_on_wireless_rejects_spikes() {
         let mut tb = Testbed::wireless(TestbedConfig::default(), 1);
         let mut pool = ServerPool::new(PoolConfig::default(), 2);
         let mut c = clock(0.0, 3);
-        let cfg = MntpConfig::baseline(5.0);
-        let run = run_baseline(cfg, &mut tb, &mut pool, &mut c, 1800, 5.0);
+        let run = baseline(&mut tb, &mut pool, &mut c, 1800);
         let accepted = run.accepted_offsets();
         let rejected = run.rejected_offsets();
         assert!(!accepted.is_empty());
@@ -399,7 +341,7 @@ mod tests {
         let mut tb = Testbed::wireless(TestbedConfig::default(), 1);
         let mut pool = ServerPool::new(PoolConfig::default(), 2);
         let mut c = clock(0.0, 3);
-        let run = run_baseline(MntpConfig::baseline(5.0), &mut tb, &mut pool, &mut c, 900, 5.0);
+        let run = baseline(&mut tb, &mut pool, &mut c, 900);
         let scanned: Vec<f64> = run
             .records
             .iter()
@@ -424,7 +366,8 @@ mod tests {
             reset_period_secs: 100_000.0,
             ..Default::default()
         };
-        let run = run_full(cfg, &mut tb, &mut pool, &mut c, 3600, 1.0);
+        let mut d = MntpDiscipline::full(cfg);
+        let run = drive(&mut d, &mut tb, &mut pool, &mut c, None, &DriverConfig::span(3600, 1.0));
         let warmup_rounds = run
             .records
             .iter()
@@ -460,15 +403,9 @@ mod tests {
             apply_mode: crate::config::ApplyMode::Step,
             ..Default::default()
         };
-        let (run, tuner) = run_full_autotuned(
-            cfg,
-            crate::autotune::AutoTuneConfig::default(),
-            &mut tb,
-            &mut pool,
-            &mut c,
-            3600,
-            1.0,
-        );
+        let mut d = MntpDiscipline::autotuned(cfg, crate::autotune::AutoTuneConfig::default());
+        let run = drive(&mut d, &mut tb, &mut pool, &mut c, None, &DriverConfig::span(3600, 1.0));
+        let tuner = d.into_tuner().expect("autotuned discipline carries a tuner");
         // The tuner must have stretched the wait beyond its floor…
         assert!(tuner.wait_secs() > 15.0, "wait {}", tuner.wait_secs());
         assert!(tuner.increases > 0);
@@ -504,16 +441,7 @@ mod tests {
                 FaultKind::ServerOutage { servers: ServerSet::All },
             );
             let mut faults = FaultInjector::new(schedule, 34);
-            run_full_faulted(
-                cfg,
-                RobustConfig::default(),
-                &mut tb,
-                &mut pool,
-                &mut c,
-                &mut faults,
-                5400,
-                1.0,
-            )
+            hardened(cfg, &mut tb, &mut pool, &mut c, &mut faults, 5400)
         };
         let run = go();
         assert!(run.holdover_failures() > 0, "outage should force holdover probes");
@@ -546,16 +474,7 @@ mod tests {
             FaultKind::KissODeath { servers: ServerSet::All, min_poll_secs: 3600.0 },
         );
         let mut faults = FaultInjector::new(schedule, 44);
-        let run = run_full_faulted(
-            cfg,
-            RobustConfig::default(),
-            &mut tb,
-            &mut pool,
-            &mut c,
-            &mut faults,
-            900,
-            1.0,
-        );
+        let run = hardened(cfg, &mut tb, &mut pool, &mut c, &mut faults, 900);
         assert!(run.kod_count() > 0, "KoD replies should be recorded");
     }
 
@@ -565,8 +484,7 @@ mod tests {
             let mut tb = Testbed::wireless(TestbedConfig::default(), 7);
             let mut pool = ServerPool::new(PoolConfig::default(), 8);
             let mut c = clock(5.0, 9);
-            let run =
-                run_baseline(MntpConfig::baseline(5.0), &mut tb, &mut pool, &mut c, 600, 5.0);
+            let run = baseline(&mut tb, &mut pool, &mut c, 600);
             run.accepted_offsets().to_vec()
         };
         assert_eq!(go(), go());

@@ -626,16 +626,6 @@ pub fn run_fleet_chaos_on(
     run_fleet_impl(par, clients, net, pool, cfg, Some(session))
 }
 
-/// Serial [`run_fleet_on`]: the historical single-threaded entry point.
-pub fn run_fleet(
-    clients: &mut [FleetClient],
-    net: &mut FleetNet,
-    pool: &mut ServerPool,
-    cfg: &FleetRunConfig,
-) -> FleetRun {
-    run_fleet_on(&Pool::with_jobs(1), clients, net, pool, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,7 +672,7 @@ mod tests {
             collect_arrivals: true,
             ..FleetRunConfig::default()
         };
-        let run = run_fleet(&mut clients, &mut net, &mut pool, &cfg);
+        let run = run_fleet_on(&Pool::with_jobs(1), &mut clients, &mut net, &mut pool, &cfg);
         assert_eq!(run.true_error_ms.len(), 4);
         assert!(run.true_error_ms.iter().all(|s| !s.is_empty()));
         assert!(run.polls_sent > 0);
@@ -696,8 +686,8 @@ mod tests {
         let cfg = FleetRunConfig { duration_secs: 90, ..FleetRunConfig::default() };
         let (mut c1, mut n1, mut p1) = small_fleet(3, 7, 1);
         let (mut c2, mut n2, mut p2) = small_fleet(3, 7, 1);
-        let r1 = run_fleet(&mut c1, &mut n1, &mut p1, &cfg);
-        let r2 = run_fleet(&mut c2, &mut n2, &mut p2, &cfg);
+        let r1 = run_fleet_on(&Pool::with_jobs(1), &mut c1, &mut n1, &mut p1, &cfg);
+        let r2 = run_fleet_on(&Pool::with_jobs(1), &mut c2, &mut n2, &mut p2, &cfg);
         assert_eq!(r1.true_error_ms, r2.true_error_ms);
         assert_eq!(r1.arrivals_per_sec, r2.arrivals_per_sec);
         assert_eq!(r1.polls_sent, r2.polls_sent);
@@ -894,9 +884,9 @@ mod tests {
         let steady_cfg =
             FleetRunConfig { steady_cutoff_secs: Some(60.0), ..full_cfg.clone() };
         let (mut c1, mut n1, mut p1) = mk();
-        let full = run_fleet(&mut c1, &mut n1, &mut p1, &full_cfg);
+        let full = run_fleet_on(&Pool::with_jobs(1), &mut c1, &mut n1, &mut p1, &full_cfg);
         let (mut c2, mut n2, mut p2) = mk();
-        let steady = run_fleet(&mut c2, &mut n2, &mut p2, &steady_cfg);
+        let steady = run_fleet_on(&Pool::with_jobs(1), &mut c2, &mut n2, &mut p2, &steady_cfg);
         assert!(steady.true_error_ms.iter().all(Vec::is_empty));
         for (ci, samples) in steady.steady_abs_ms.iter().enumerate() {
             let expect: Vec<f32> = full.true_error_ms[ci]

@@ -46,14 +46,11 @@ pub mod selection;
 pub use autotune::{AutoTuneConfig, AutoTuner};
 pub use config::{ApplyMode, MntpConfig};
 pub use discipline::{Directive, Discipline, ExchangeResult, MntpDiscipline, SntpDiscipline};
-pub use driver::{
-    drive, run_baseline, run_full, run_full_autotuned, run_full_faulted, DriverConfig, MntpRun,
-    MntpRunRecord, QueryOutcome, RobustConfig,
-};
+pub use driver::{drive, DriverConfig, MntpRun, MntpRunRecord, QueryOutcome, RobustConfig};
 pub use engine::{Mntp, MntpAction, Phase, SampleVerdict};
 pub use fleet::{
-    run_fleet, run_fleet_chaos_on, run_fleet_on, ChaosSession, FleetClient, FleetRun,
-    FleetRunConfig, GroupSample,
+    run_fleet_chaos_on, run_fleet_on, ChaosSession, FleetClient, FleetRun, FleetRunConfig,
+    GroupSample,
 };
 pub use filter::{FalseTickerVerdict, TrendFilter};
 pub use gate::HintGate;

@@ -107,15 +107,9 @@ pub fn suite_arms() -> Vec<(&'static str, Mechanisms)> {
     ]
 }
 
-/// Run the standard ablation suite (pool sized from `MNTP_JOBS` / the
-/// machine).
-pub fn run_suite(seed: u64, duration: u64) -> Vec<AblationRow> {
-    run_suite_on(&devtools::par::Pool::from_env(), seed, duration)
-}
-
-/// Run the standard ablation suite over an explicit pool. Every arm is
-/// an independent trial (own testbed, pool, clock, filter state), so
-/// the fan-out is bit-identical to the serial loop in arm order.
+/// Run the standard ablation suite over `pool`. Every arm is an
+/// independent trial (own testbed, pool, clock, filter state), so the
+/// fan-out is bit-identical to the serial loop in arm order.
 pub fn run_suite_on(pool: &devtools::par::Pool, seed: u64, duration: u64) -> Vec<AblationRow> {
     pool.map(suite_arms(), |(label, m)| run_arm(label, m, seed, duration))
 }
@@ -149,7 +143,7 @@ mod tests {
 
     #[test]
     fn both_mechanisms_contribute() {
-        let rows = run_suite(901, 1800);
+        let rows = run_suite_on(&devtools::par::Pool::from_env(), 901, 1800);
         let by = |label: &str| rows.iter().find(|r| r.label.contains(label)).unwrap();
         let full = by("full MNTP");
         let gate_only = by("gate only");
@@ -163,7 +157,7 @@ mod tests {
 
     #[test]
     fn lower_snr_threshold_lets_more_noise_in() {
-        let rows = run_suite(902, 1800);
+        let rows = run_suite_on(&devtools::par::Pool::from_env(), 902, 1800);
         let by = |label: &str| rows.iter().find(|r| r.label.contains(label)).unwrap();
         let loose = by("10 dB");
         let full = by("full MNTP");

@@ -5,11 +5,10 @@
 
 use clocksim::stats::Summary;
 use clocksim::time::{SimDuration, SimTime};
-use mntp::{ApplyMode, MntpConfig};
+use mntp::{drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline};
 use netsim::testbed::TestbedConfig;
 use netsim::Testbed;
-use ntpd_sim::daemon::{run_ntpd, NtpdConfig};
-use ntpd_sim::HuffPuff;
+use ntpd_sim::{HuffPuff, NtpdConfig, NtpdDiscipline};
 use sntp::vendor::{VendorAction, VendorClient, VendorPolicy};
 use sntp::perform_exchange;
 
@@ -37,13 +36,8 @@ pub struct ThreeWayResult {
 /// Run all three protocols over the same wireless conditions (separate
 /// testbed instances with identical configuration — each protocol's
 /// transmissions perturb the channel it sees, so sharing one channel
-/// would entangle them). Pool sized from `MNTP_JOBS` / the machine.
-pub fn three_way(seed: u64, duration: u64) -> ThreeWayResult {
-    three_way_on(&devtools::par::Pool::from_env(), seed, duration)
-}
-
-/// [`three_way`] over an explicit pool: the three protocol arms are
-/// fully independent trials, so they fan out as three tasks.
+/// would entangle them). The three protocol arms are fully independent
+/// trials, so they fan out over `pool` as three tasks.
 pub fn three_way_on(pool: &devtools::par::Pool, seed: u64, duration: u64) -> ThreeWayResult {
     type Arm = Box<dyn FnOnce() -> (Summary, u64, f64) + Send>;
     let arms: Vec<Arm> = vec![
@@ -109,7 +103,9 @@ fn three_way_mntp_arm(seed: u64, duration: u64) -> (Summary, u64, f64) {
             apply_mode: ApplyMode::Step,
             ..Default::default()
         };
-        let run = mntp::run_full(cfg, &mut tb, &mut pool, &mut clock, duration, 1.0);
+        let mut d = MntpDiscipline::full(cfg);
+        let span = DriverConfig::span(duration, 1.0);
+        let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &span);
         let errors: Vec<f64> =
             run.true_error_ms.iter().map(|(_, e)| e.abs()).collect();
         let mut meter = EnergyMeter::new(EnergyModel::default());
@@ -132,7 +128,9 @@ fn three_way_ntpd_arm(seed: u64, duration: u64) -> (Summary, u64, f64) {
         let mut tb = Testbed::wireless(TestbedConfig::default(), seed + 20);
         let mut pool = default_pool(seed + 21);
         let mut clock = ClockMode::free_running_default().build(seed + 22);
-        let run = run_ntpd(NtpdConfig::with_peers(vec![0, 1, 2, 3]), &mut tb, &mut pool, &mut clock, duration);
+        let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(vec![0, 1, 2, 3]));
+        let span = DriverConfig::span(duration, 1.0);
+        let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &span);
         let errors: Vec<f64> = run.true_error_ms.iter().map(|(_, e)| e.abs()).collect();
         // ntpd polls arrive on the discipline's schedule; approximate the
         // energy from the poll count spread uniformly (an upper-ish bound:
@@ -228,13 +226,8 @@ fn run_policy(label: &'static str, policy: VendorPolicy, days: u64, seed: u64) -
     (label, Summary::of(&errors), polls)
 }
 
-/// Run the vendor demonstration (pool sized from `MNTP_JOBS`).
-pub fn vendor_policies(seed: u64, days: u64) -> VendorResult {
-    vendor_policies_on(&devtools::par::Pool::from_env(), seed, days)
-}
-
-/// [`vendor_policies`] over an explicit pool — one independent trial
-/// per policy.
+/// Run the vendor demonstration over `pool` — one independent trial per
+/// policy.
 pub fn vendor_policies_on(pool: &devtools::par::Pool, seed: u64, days: u64) -> VendorResult {
     let specs: Vec<(&'static str, VendorPolicy, u64)> = vec![
         ("Android KitKat (daily, 5 s threshold)", VendorPolicy::android_kitkat(), seed),
@@ -366,19 +359,15 @@ pub struct AutotuneResult {
     pub backoffs: u64,
 }
 
-/// Run both engines (Step mode, same seeds) for `duration` seconds.
-pub fn autotune_comparison(seed: u64, duration: u64) -> AutotuneResult {
-    autotune_comparison_on(&devtools::par::Pool::from_env(), seed, duration)
-}
-
-/// [`autotune_comparison`] over an explicit pool — the fixed and tuned
-/// engines are independent trials, so they run as a parallel pair.
+/// Run both engines (Step mode, same seeds) for `duration` seconds. The
+/// fixed and tuned engines are independent trials, so they run over
+/// `pool` as a parallel pair.
 pub fn autotune_comparison_on(
     pool: &devtools::par::Pool,
     seed: u64,
     duration: u64,
 ) -> AutotuneResult {
-    use mntp::{run_full, run_full_autotuned, AutoTuneConfig};
+    use mntp::AutoTuneConfig;
     let cfg = MntpConfig {
         warmup_period_secs: 600.0,
         warmup_wait_secs: 15.0,
@@ -397,30 +386,21 @@ pub fn autotune_comparison_on(
         run.true_error_ms.iter().filter(|(t, _)| *t > 900.0).map(|(_, e)| e.abs()).collect()
     };
 
-    let (fixed_run, (tuned_run, tuner)) = pool.join(
+    // Both arms see the same testbed, pool and clock seeds.
+    let arm = move |mut d: MntpDiscipline| {
+        let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
+        let mut pool = default_pool(seed + 1);
+        let mut clock = ClockMode::free_running_default().build(seed + 2);
+        let run =
+            drive(&mut d, &mut tb, &mut pool, &mut clock, None, &DriverConfig::span(duration, 1.0));
+        (run, d)
+    };
+    let ((fixed_run, _), (tuned_run, tuned)) = pool.join(
         {
             let cfg = cfg.clone();
-            move || {
-                let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
-                let mut pool = default_pool(seed + 1);
-                let mut clock = ClockMode::free_running_default().build(seed + 2);
-                run_full(cfg, &mut tb, &mut pool, &mut clock, duration, 1.0)
-            }
+            move || arm(MntpDiscipline::full(cfg))
         },
-        move || {
-            let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
-            let mut pool = default_pool(seed + 1);
-            let mut clock = ClockMode::free_running_default().build(seed + 2);
-            run_full_autotuned(
-                cfg,
-                AutoTuneConfig::default(),
-                &mut tb,
-                &mut pool,
-                &mut clock,
-                duration,
-                1.0,
-            )
-        },
+        move || arm(MntpDiscipline::autotuned(cfg, AutoTuneConfig::default())),
     );
 
     AutotuneResult {
@@ -428,7 +408,7 @@ pub fn autotune_comparison_on(
         fixed_queries: queries(&fixed_run),
         tuned: Summary::of(&errors(&tuned_run)),
         tuned_queries: queries(&tuned_run),
-        backoffs: tuner.decreases,
+        backoffs: tuned.into_tuner().map_or(0, |tuner| tuner.decreases),
     }
 }
 
@@ -473,13 +453,8 @@ pub struct ScenarioRow {
 }
 
 /// Sweep MNTP vs SNTP across the named deployment scenarios (§7's
-/// "wider variety of WiFi settings"), NTP-corrected clock. Pool sized
-/// from `MNTP_JOBS`.
-pub fn scenario_sweep(seed: u64, duration: u64) -> Vec<ScenarioRow> {
-    scenario_sweep_on(&devtools::par::Pool::from_env(), seed, duration)
-}
-
-/// [`scenario_sweep`] over an explicit pool — one trial per scenario.
+/// "wider variety of WiFi settings"), NTP-corrected clock — one trial
+/// per scenario over `pool`.
 pub fn scenario_sweep_on(
     pool: &devtools::par::Pool,
     seed: u64,
@@ -542,6 +517,7 @@ pub fn wired_baseline(seed: u64, duration: u64) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use devtools::par::Pool;
 
     #[test]
     fn huffpuff_helps_but_mntp_wins() {
@@ -565,7 +541,7 @@ mod tests {
 
     #[test]
     fn autotune_trades_requests_for_similar_accuracy() {
-        let r = autotune_comparison(121, 2 * 3600);
+        let r = autotune_comparison_on(&Pool::from_env(), 121, 2 * 3600);
         // The self-tuned engine must use meaningfully fewer queries…
         assert!(
             (r.tuned_queries as f64) < r.fixed_queries as f64 * 0.8,
@@ -584,7 +560,7 @@ mod tests {
 
     #[test]
     fn scenario_sweep_shapes() {
-        let rows = scenario_sweep(131, 1800);
+        let rows = scenario_sweep_on(&Pool::from_env(), 131, 1800);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             if r.mntp.n >= 5 {
@@ -613,7 +589,7 @@ mod tests {
 
     #[test]
     fn ntpd_and_mntp_beat_naive_sntp() {
-        let r = three_way(101, 2 * 3600);
+        let r = three_way_on(&Pool::from_env(), 101, 2 * 3600);
         // Naive SNTP stepping on wireless spikes wrecks the clock.
         assert!(
             r.sntp.p95 > 2.0 * r.mntp.p95,
@@ -634,7 +610,7 @@ mod tests {
 
     #[test]
     fn android_policy_lets_clock_wander_between_daily_polls() {
-        let r = vendor_policies(102, 3);
+        let r = vendor_policies_on(&Pool::from_env(), 102, 3);
         let android = &r.rows[0];
         // 30 ppm accumulates ≈ 2.6 s/day; threshold 5 s means the clock
         // can sit seconds off before Android even reacts.

@@ -8,13 +8,16 @@
 //! * **SNTP (naive)** — poll every 5 s, step on every reply, no retry
 //!   policy beyond the next poll. This is the §5.1 baseline; under an
 //!   outage it freewheels at the raw oscillator skew.
-//! * **MNTP (hardened)** — Algorithm 1 through
-//!   [`mntp::run_full_faulted`]: health-tracked server selection,
-//!   per-query timeout, kiss-o'-death honoring, and the holdover phase
-//!   that freewheels on the *fitted* drift and re-syncs on recovery.
-//! * **NTP (ntpd-sim)** — the full RFC 5905 mitigation pipeline via
-//!   [`ntpd_sim::daemon::run_ntpd_faulted`]; its reachability registers
-//!   and poll backoff are its native hardening.
+//! * **MNTP (hardened)** — Algorithm 1 as
+//!   [`mntp::MntpDiscipline::hardened`]: health-tracked server
+//!   selection, kiss-o'-death honoring, and the holdover phase that
+//!   freewheels on the *fitted* drift and re-syncs on recovery.
+//! * **NTP (ntpd-sim)** — the full RFC 5905 mitigation pipeline as
+//!   [`ntpd_sim::NtpdDiscipline`]; its reachability registers and poll
+//!   backoff are its native hardening.
+//!
+//! All three run under [`mntp::drive`] through the same injector with
+//! the same per-query timeout.
 //!
 //! The table reports |true clock error| *during* the fault window and
 //! *after* recovery time has passed, plus polls sent — the survival /
@@ -22,10 +25,10 @@
 
 use clocksim::stats::Summary;
 use clocksim::time::SimDuration;
-use mntp::{ApplyMode, MntpConfig, RobustConfig};
+use mntp::{drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline, RobustConfig};
 use netsim::testbed::TestbedConfig;
 use netsim::{FaultInjector, FaultKind, FaultSchedule, ServerSet, Testbed};
-use ntpd_sim::daemon::{run_ntpd_faulted, NtpdConfig};
+use ntpd_sim::{NtpdConfig, NtpdDiscipline};
 
 use crate::harness::{default_pool, ClockMode};
 use crate::render;
@@ -135,6 +138,15 @@ fn split_errors(
     (Summary::of(&within(during.0, during.1)), Summary::of(&within(post_from, f64::INFINITY)))
 }
 
+/// One-second ticks over `duration` under the shared per-query timeout:
+/// the MNTP and ntpd arms' driver grid.
+fn timed_span(duration: u64) -> DriverConfig {
+    DriverConfig {
+        timeout: Some(SimDuration::from_secs_f64(TIMEOUT_SECS)),
+        ..DriverConfig::span(duration, 1.0)
+    }
+}
+
 /// Naive SNTP under faults: poll every 5 s through the injector with
 /// the shared timeout, step on every reply — no health tracking, no
 /// backoff. What a stock mobile SNTP client does when the network
@@ -145,13 +157,13 @@ fn sntp_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
     let mut clock = ClockMode::free_running_default().build(seed + 2);
     let mut faults = FaultInjector::new(sc.schedule.clone(), seed + 3);
     let mut d = mntp::SntpDiscipline::naive();
-    let dcfg = mntp::DriverConfig {
+    let dcfg = DriverConfig {
         ticks: duration / 5,
         tick_secs: 5.0,
         sample_every_tick: true,
         timeout: Some(SimDuration::from_secs_f64(TIMEOUT_SECS)),
     };
-    let run = mntp::drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg);
     let (during, post) = split_errors(&run.true_error_ms, sc.during, sc.post_from);
     FaultArmStats { name: "SNTP (naive)", during, post, polls: run.polls_sent, kod: 0 }
 }
@@ -170,9 +182,9 @@ fn mntp_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
         apply_mode: ApplyMode::Step,
         ..Default::default()
     };
-    let rcfg = RobustConfig { timeout_secs: TIMEOUT_SECS, ..Default::default() };
-    let run =
-        mntp::run_full_faulted(cfg, rcfg, &mut tb, &mut pool, &mut clock, &mut faults, duration, 1.0);
+    let mut d = MntpDiscipline::hardened(cfg, &RobustConfig::default(), pool.len());
+    let dcfg = timed_span(duration);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg);
     let (during, post) = split_errors(&run.true_error_ms, sc.during, sc.post_from);
     let polls = run
         .records
@@ -188,28 +200,17 @@ fn ntpd_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::free_running_default().build(seed + 2);
     let mut faults = FaultInjector::new(sc.schedule.clone(), seed + 3);
-    let run = run_ntpd_faulted(
-        NtpdConfig::with_peers(vec![0, 1, 2, 3]),
-        &mut tb,
-        &mut pool,
-        &mut clock,
-        &mut faults,
-        TIMEOUT_SECS,
-        duration,
-    );
+    let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(vec![0, 1, 2, 3]));
+    let dcfg = timed_span(duration);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg);
     let (during, post) = split_errors(&run.true_error_ms, sc.during, sc.post_from);
     FaultArmStats { name: "NTP (ntpd-sim)", during, post, polls: run.polls_sent, kod: 0 }
 }
 
 /// Run the sweep: every scenario × every protocol, each run an
-/// independent trial with its own seeds (pool sized from `MNTP_JOBS`).
-pub fn run_sweep(seed: u64, duration: u64) -> Vec<FaultScenarioResult> {
-    run_sweep_on(&devtools::par::Pool::from_env(), seed, duration)
-}
-
-/// [`run_sweep`] over an explicit pool. The 3 × |grid| runs are fully
-/// independent trials, so they fan out as one task each; results come
-/// back in grid order regardless of worker count.
+/// independent trial with its own seeds. The 3 × |grid| runs fan out
+/// over `pool` as one task each; results come back in grid order
+/// regardless of worker count.
 pub fn run_sweep_on(
     pool: &devtools::par::Pool,
     seed: u64,

@@ -349,11 +349,6 @@ pub fn sweep_sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Run the whole sweep serially.
-pub fn run_sweep(seed: u64, quick: bool) -> FleetSweepResult {
-    run_sweep_on(&Pool::with_jobs(1), seed, quick)
-}
-
 /// Run the sweep with trials fanned out over `pool`. Trials own all
 /// their state and seeds, so the output is identical at any job count.
 ///

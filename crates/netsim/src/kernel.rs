@@ -21,27 +21,16 @@
 //!   dominant periodic-poll pattern (pop one event, schedule the next
 //!   tick) recycles the same slot instead of growing the arena.
 //!
-//! Two interchangeable queue backends implement that contract
-//! ([`SchedulerKind`]):
-//!
-//! * [`SchedulerKind::Wheel`] (the default) — a hierarchical timing
-//!   wheel ([`crate::wheel::Wheel`]) with O(1) schedule and amortized
-//!   O(1) pop for the bounded-horizon poll-timer workload that dominates
-//!   fleet simulation, falling back to a far-future overflow heap beyond
-//!   its ~4.9 h horizon;
-//! * [`SchedulerKind::Heap`] — the classic [`BinaryHeap`], kept as the
-//!   reference implementation the wheel is property-tested against.
-//!
-//! Both backends fire any schedule in the identical sequence, so the
-//! choice is a performance knob, never an observable one.
+//! The queue is a hierarchical timing wheel ([`crate::wheel::Wheel`])
+//! with O(1) schedule and amortized O(1) pop for the bounded-horizon
+//! poll-timer workload that dominates fleet simulation, falling back to
+//! a far-future overflow heap beyond its ~4.9 h horizon. Its own tests
+//! pin it to a `BinaryHeap` reference on randomized schedules.
 //!
 //! Callbacks come in two flavors: [`Sim::schedule_fn_at`] takes a plain
 //! `fn` pointer (the periodic ticks that dominate every workload —
 //! zero allocation, direct call), while [`Sim::schedule_at`] accepts any
 //! capturing closure and boxes it.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use clocksim::time::SimTime;
 
@@ -92,66 +81,11 @@ pub(crate) fn key_time(key: u128) -> SimTime {
     SimTime((((key >> 64) as u64) ^ (1u64 << 63)) as i64)
 }
 
-/// Which priority-queue backend a [`Sim`] runs on. See the module docs;
-/// the two fire identical schedules in the identical order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel with heap overflow (the default).
-    #[default]
-    Wheel,
-    /// Plain binary heap (the reference backend).
-    Heap,
-}
-
-enum Queue {
-    Heap(BinaryHeap<Reverse<Entry>>),
-    Wheel(Box<Wheel>),
-}
-
-impl Queue {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => Queue::Heap(BinaryHeap::new()),
-            SchedulerKind::Wheel => Queue::Wheel(Box::new(Wheel::new())),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, e: Entry) {
-        match self {
-            Queue::Heap(h) => h.push(Reverse(e)),
-            Queue::Wheel(w) => w.push(e),
-        }
-    }
-
-    /// Remove and return the minimum entry if its time is `<= t`.
-    #[inline]
-    fn pop_before(&mut self, t: SimTime) -> Option<Entry> {
-        match self {
-            Queue::Heap(h) => {
-                let &Reverse(e) = h.peek()?;
-                if key_time(e.key) > t {
-                    return None;
-                }
-                h.pop().map(|Reverse(e)| e)
-            }
-            Queue::Wheel(w) => w.pop_before(t),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(h) => h.len(),
-            Queue::Wheel(w) => w.len(),
-        }
-    }
-}
-
 /// Discrete-event simulator over world type `W`.
 pub struct Sim<W> {
     now: SimTime,
     seq: u64,
-    queue: Queue,
+    queue: Wheel,
     /// Slab of pending callbacks, addressed by the slot carried in each
     /// queue entry. `None` marks a free slot (tracked in `free`).
     slots: Vec<Option<EventFn<W>>>,
@@ -166,18 +100,12 @@ impl<W> Default for Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// A simulator positioned at the epoch with an empty queue, on the
-    /// default backend ([`SchedulerKind::Wheel`]).
+    /// A simulator positioned at the epoch with an empty queue.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default())
-    }
-
-    /// A simulator on an explicitly chosen queue backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            queue: Queue::new(kind),
+            queue: Wheel::new(),
             slots: Vec::new(),
             free: Vec::new(),
             fired: 0,
@@ -321,16 +249,14 @@ mod tests {
 
     #[test]
     fn ties_fire_in_scheduling_order() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<Vec<u32>> = Sim::with_scheduler(kind);
-            let mut world = Vec::new();
-            let t = SimTime::from_secs(1);
-            for i in 0..10 {
-                sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            sim.run_until(&mut world, t);
-            assert_eq!(world, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut world = Vec::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..10 {
+            sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
         }
+        sim.run_until(&mut world, t);
+        assert_eq!(world, (0..10).collect::<Vec<_>>());
     }
 
     /// Regression test for the tie-breaker wrap bug: the old kernel kept
@@ -342,21 +268,19 @@ mod tests {
     /// keeps 0, 1, 2, 3.
     #[test]
     fn same_instant_fifo_survives_u32_seq_boundary() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<Vec<u32>> = Sim::with_scheduler(kind);
-            sim.set_seq_for_test(u64::from(u32::MAX) - 1);
-            let mut world = Vec::new();
-            let t = SimTime::from_secs(7);
-            for i in 0..4 {
-                sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            sim.run_until(&mut world, t);
-            assert_eq!(
-                world,
-                vec![0, 1, 2, 3],
-                "same-instant FIFO order must survive the u32 sequence boundary ({kind:?})"
-            );
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        sim.set_seq_for_test(u64::from(u32::MAX) - 1);
+        let mut world = Vec::new();
+        let t = SimTime::from_secs(7);
+        for i in 0..4 {
+            sim.schedule_at(t, move |w: &mut Vec<u32>, _| w.push(i));
         }
+        sim.run_until(&mut world, t);
+        assert_eq!(
+            world,
+            vec![0, 1, 2, 3],
+            "same-instant FIFO order must survive the u32 sequence boundary"
+        );
     }
 
     #[test]
@@ -415,16 +339,14 @@ mod tests {
 
     #[test]
     fn run_to_completion_drains() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim: Sim<u32> = Sim::with_scheduler(kind);
-            let mut world = 0u32;
-            for i in 0..100 {
-                sim.schedule_at(SimTime::from_secs(i), |w: &mut u32, _| *w += 1);
-            }
-            sim.run_to_completion(&mut world);
-            assert_eq!(world, 100);
-            assert_eq!(sim.pending(), 0);
+        let mut sim: Sim<u32> = Sim::new();
+        let mut world = 0u32;
+        for i in 0..100 {
+            sim.schedule_at(SimTime::from_secs(i), |w: &mut u32, _| *w += 1);
         }
+        sim.run_to_completion(&mut world);
+        assert_eq!(world, 100);
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -440,14 +362,12 @@ mod tests {
                 sim.schedule_fn_in(SimDuration::from_millis(1), tick);
             }
         }
-        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let mut sim = Sim::with_scheduler(kind);
-            let mut world = W { count: 0 };
-            sim.schedule_fn_at(SimTime::ZERO, tick);
-            sim.run_to_completion(&mut world);
-            assert_eq!(world.count, 10_000);
-            assert_eq!(sim.slots.len(), 1, "periodic reschedule must reuse one slot ({kind:?})");
-        }
+        let mut sim = Sim::new();
+        let mut world = W { count: 0 };
+        sim.schedule_fn_at(SimTime::ZERO, tick);
+        sim.run_to_completion(&mut world);
+        assert_eq!(world.count, 10_000);
+        assert_eq!(sim.slots.len(), 1, "periodic reschedule must reuse one slot");
     }
 
     #[test]
@@ -513,23 +433,21 @@ mod proptests {
 
     props! {
         /// For any schedule of events, firing order is sorted by
-        /// (time, insertion order) — on both queue backends.
+        /// (time, insertion order).
         fn firing_order_is_stable_sort(times in prop::vecs(prop::ints(0..1000), 1..60)) {
-            for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-                let mut sim: Sim<Vec<(i64, usize)>> = Sim::with_scheduler(kind);
-                let mut world: Vec<(i64, usize)> = Vec::new();
-                for (idx, &t) in times.iter().enumerate() {
-                    sim.schedule_at(SimTime::from_secs(t), move |w: &mut Vec<(i64, usize)>, _| {
-                        w.push((t, idx));
-                    });
-                }
-                sim.run_to_completion(&mut world);
-                prop_assert_eq!(world.len(), times.len());
-                for pair in world.windows(2) {
-                    let (ta, ia) = pair[0];
-                    let (tb, ib) = pair[1];
-                    prop_assert!(ta < tb || (ta == tb && ia < ib), "{pair:?}");
-                }
+            let mut sim: Sim<Vec<(i64, usize)>> = Sim::new();
+            let mut world: Vec<(i64, usize)> = Vec::new();
+            for (idx, &t) in times.iter().enumerate() {
+                sim.schedule_at(SimTime::from_secs(t), move |w: &mut Vec<(i64, usize)>, _| {
+                    w.push((t, idx));
+                });
+            }
+            sim.run_to_completion(&mut world);
+            prop_assert_eq!(world.len(), times.len());
+            for pair in world.windows(2) {
+                let (ta, ia) = pair[0];
+                let (tb, ib) = pair[1];
+                prop_assert!(ta < tb || (ta == tb && ia < ib), "{pair:?}");
             }
         }
     }

@@ -1,31 +1,29 @@
-//! Struct-of-arrays storage for fleet-scale populations of 802.11 lanes.
+//! Struct-of-arrays storage for populations of 802.11 lanes.
 //!
-//! [`crate::wifi::WifiChannel`] is one struct per device — fine for a
-//! testbed, wasteful for a million-client fleet where the hot tick loop
-//! touches one or two scalars per lane: an array-of-structs layout drags a
-//! whole `WifiChannel` (config copy included) through the cache per touch.
-//! [`ChannelBank`] stores the population column-wise — one `Vec` per piece
-//! of per-lane state, one *shared* config/coefficient block — so a sweep
+//! [`ChannelBank`] holds the live state of the [`crate::wifi`] channel
+//! model for every station on one access point: the testbed's wireless
+//! hop is a one-lane bank, a fleet's access point a bank with one lane
+//! per client. The hot fleet tick touches one or two scalars per lane, so
+//! the bank stores the population column-wise — one `Vec` per piece of
+//! per-lane state, one *shared* config/coefficient block — and a sweep
 //! over lanes walks dense, homogeneous arrays.
 //!
-//! [`Lane`] is a borrowed view of one column slot; it implements
-//! [`ChannelIo`] by delegating to the same free functions in
-//! [`crate::wifi`] that `WifiChannel` uses, with the same RNG call order,
-//! so a lane and a standalone channel seeded identically produce
-//! bit-identical delay/hint sequences (pinned by tests below).
+//! [`Lane`] is a borrowed view of one column slot. It carries packets and
+//! reads hints through the free functions in [`crate::wifi`], drawing
+//! from its own RNG stream in the order documented there, so a lane's
+//! sequence never depends on how many other lanes share its bank (pinned
+//! by a test below).
 //!
-//! Shared-state caveat: the utilization *target* and the transmit power are
-//! bank-wide scalars here (the fleet's cross-traffic generator drives every
-//! lane's target identically, and fleet WAPs never adjust power), while
-//! `WifiChannel` carries both per instance. The per-lane OU state —
-//! shadow fading, noise jitter, ramped utilization — stays per-lane.
+//! Shared-state caveat: the utilization *target* and the transmit power
+//! are bank-wide scalars. The cross-traffic generator drives every lane's
+//! target identically, and only the testbed's monitor node — whose bank
+//! has one lane — adjusts power. The per-lane OU state — shadow fading,
+//! noise jitter, ramped utilization — stays per-lane.
 
 use clocksim::rng::SimRng;
 use clocksim::time::{SimDuration, SimTime};
 
-use crate::wifi::{
-    self, ChannelIo, StepCoeffs, WifiConfig, WirelessHints,
-};
+use crate::wifi::{self, StepCoeffs, WifiConfig, WirelessHints};
 
 /// A population of last-hop channels in struct-of-arrays layout.
 #[derive(Clone, Debug)]
@@ -47,7 +45,8 @@ pub struct ChannelBank {
 
 impl ChannelBank {
     /// Create a bank of `rngs.len()` lanes at `t = 0`, one RNG stream per
-    /// lane. Initial state matches `WifiChannel::new` lane-for-lane.
+    /// lane, transmitting at the configured power over a 5 %-utilized
+    /// medium.
     pub fn new(cfg: WifiConfig, rngs: Vec<SimRng>) -> Self {
         let n = rngs.len();
         let tx = cfg.tx_power_dbm;
@@ -80,6 +79,20 @@ impl ChannelBank {
         self.target_utilization = u.clamp(0.0, 1.0);
     }
 
+    /// Set every lane's utilization immediately, bypassing the ramp
+    /// (tests, scenario setup).
+    pub fn set_utilization_now(&mut self, u: f64) {
+        self.set_utilization(u);
+        self.utilization.fill(self.target_utilization);
+    }
+
+    /// Adjust the WAP transmit power by `delta` dB, clamped to the legal
+    /// range — the monitor node's control knob.
+    pub fn adjust_tx_power_db(&mut self, delta: f64) {
+        let (lo, hi) = self.cfg.tx_power_range_dbm;
+        self.tx_power_dbm = (self.tx_power_dbm + delta).clamp(lo, hi);
+    }
+
     /// A mutable view of lane `i`, or `None` when out of range. Column
     /// lookups happen once here; the view itself never indexes.
     pub fn lane(&mut self, i: usize) -> Option<Lane<'_>> {
@@ -98,8 +111,7 @@ impl ChannelBank {
 }
 
 /// A borrowed view of one lane in a [`ChannelBank`]: one element of each
-/// state column plus the bank-wide shared scalars. Mirrors the transmit
-/// surface of [`crate::wifi::WifiChannel`].
+/// state column plus the bank-wide shared scalars.
 #[derive(Debug)]
 pub struct Lane<'a> {
     cfg: &'a WifiConfig,
@@ -177,82 +189,26 @@ impl Lane<'_> {
     }
 }
 
-impl ChannelIo for Lane<'_> {
-    fn advance_to(&mut self, t: SimTime) {
-        Lane::advance_to(self, t);
-    }
-    fn hints(&mut self, t: SimTime) -> WirelessHints {
-        Lane::hints(self, t)
-    }
-    fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
-        Lane::transmit_up(self, t)
-    }
-    fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration> {
-        Lane::transmit_down(self, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wifi::WifiChannel;
-
-    /// A lane and a standalone channel, seeded identically and driven
-    /// through the same op sequence, must agree bit-for-bit — the SoA
-    /// layout is a storage detail, never an observable one.
-    #[test]
-    fn lane_matches_standalone_channel_bit_for_bit() {
-        let cfg = WifiConfig::default();
-        let seeds = [11u64, 12, 13];
-        let mut bank =
-            ChannelBank::new(cfg.clone(), seeds.iter().map(|&s| SimRng::new(s)).collect());
-        let mut solo: Vec<WifiChannel> =
-            seeds.iter().map(|&s| WifiChannel::new(cfg.clone(), SimRng::new(s))).collect();
-
-        for step in 0..400u64 {
-            let t = SimTime::from_millis((step * 137) as i64);
-            if step == 120 {
-                bank.set_utilization(0.8);
-                for ch in &mut solo {
-                    ch.set_utilization(0.8);
-                }
-            }
-            for (i, ch) in solo.iter_mut().enumerate() {
-                let mut lane = bank.lane(i).expect("lane in range");
-                match step % 3 {
-                    0 => assert_eq!(lane.hints(t), ch.hints(t), "hints lane {i} step {step}"),
-                    1 => assert_eq!(
-                        lane.transmit_up(t),
-                        ch.transmit_up(t),
-                        "uplink lane {i} step {step}"
-                    ),
-                    _ => assert_eq!(
-                        lane.transmit_down(t),
-                        ch.transmit_down(t),
-                        "downlink lane {i} step {step}"
-                    ),
-                }
-                let lane = bank.lane(i).expect("lane in range");
-                assert_eq!(lane.utilization(), ch.utilization(), "util lane {i} step {step}");
-            }
-        }
-    }
 
     /// The shared `dt` coefficient cache must not let one lane's step size
-    /// contaminate another's: interleave two lanes on different cadences.
+    /// contaminate another's: interleave two lanes of one bank on
+    /// different cadences against two one-lane banks seeded alike.
     #[test]
     fn interleaved_cadences_do_not_cross_contaminate() {
         let cfg = WifiConfig::default();
         let mut bank = ChannelBank::new(cfg.clone(), vec![SimRng::new(21), SimRng::new(22)]);
-        let mut a = WifiChannel::new(cfg.clone(), SimRng::new(21));
-        let mut b = WifiChannel::new(cfg, SimRng::new(22));
+        let mut a = ChannelBank::new(cfg.clone(), vec![SimRng::new(21)]);
+        let mut b = ChannelBank::new(cfg, vec![SimRng::new(22)]);
         for step in 1..200i64 {
             // Lane 0 ticks every second, lane 1 every 700 ms — the shared
             // cache misses on every call, recomputing keyed-exact values.
             let ta = SimTime::from_millis(step * 1000);
             let tb = SimTime::from_millis(step * 700);
-            assert_eq!(bank.lane(0).unwrap().hints(ta), a.hints(ta));
-            assert_eq!(bank.lane(1).unwrap().hints(tb), b.hints(tb));
+            assert_eq!(bank.lane(0).unwrap().hints(ta), a.lane(0).unwrap().hints(ta));
+            assert_eq!(bank.lane(1).unwrap().hints(tb), b.lane(0).unwrap().hints(tb));
         }
     }
 

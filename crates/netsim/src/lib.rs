@@ -15,6 +15,8 @@
 //!   interference bursts, SNR-dependent frame loss with DCF-style retry
 //!   delay, and medium-utilization queueing (AP-side bufferbloat on the
 //!   downlink). Exposes the (RSSI, noise) *wireless hints* MNTP reads.
+//!   Its live state sits in a [`lanes::ChannelBank`], one lane per
+//!   station.
 //! * [`cellular`] — the 4G model behind the paper's Figure 5: RRC
 //!   promotion delay, high-variance OWDs, downlink bufferbloat.
 //! * [`crosstraffic`] — the monitor node's interfering file downloads.
@@ -66,8 +68,8 @@ pub mod wifi;
 pub use chaos::{ChaosEvent, ClientChaosLatch, ClientRange, FleetFaultPlan, ServerChaosLatch};
 pub use faults::{FaultInjector, FaultKind, FaultSchedule, FaultWindow, PacketFate, ServerSet};
 pub use fleet::{FleetConfig, FleetNet, ServerModel, ServerModelConfig, ServiceDecision};
-pub use kernel::{SchedulerKind, Sim};
+pub use kernel::Sim;
 pub use lanes::{ChannelBank, Lane};
 pub use link::{DelayModel, Link, LossModel};
 pub use testbed::{LastHop, Testbed, TestbedConfig};
-pub use wifi::{ChannelIo, WifiChannel, WifiConfig, WirelessHints};
+pub use wifi::{WifiConfig, WirelessHints};

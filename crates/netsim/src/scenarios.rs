@@ -167,8 +167,8 @@ mod tests {
                 let t = SimTime::from_secs(i * 5);
                 // hints() advances the channel (state is pull-model lazy).
                 tb.hints(t);
-                if let crate::testbed::LastHop::Wireless(w) = &tb.state.last_hop {
-                    total += w.utilization();
+                if let crate::testbed::LastHop::Wireless(w) = &mut tb.state.last_hop {
+                    total += w.lane(0).map_or(0.0, |lane| lane.utilization());
                 }
             }
             total / 400.0

@@ -29,8 +29,9 @@ use clocksim::time::{SimDuration, SimTime};
 use crate::cellular::{CellularChannel, CellularConfig};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
 use crate::kernel::Sim;
+use crate::lanes::ChannelBank;
 use crate::link::{DelayModel, Link, LossModel};
-use crate::wifi::{WifiChannel, WifiConfig, WirelessHints};
+use crate::wifi::{WifiConfig, WirelessHints};
 
 /// Which medium connects the target node to the WAP / Internet.
 pub enum LastHop {
@@ -41,8 +42,9 @@ pub enum LastHop {
         /// Internet → client direction.
         down: Link,
     },
-    /// The 802.11 channel model.
-    Wireless(Box<WifiChannel>),
+    /// The 802.11 channel model: a one-lane bank, lane 0 being the
+    /// target node.
+    Wireless(Box<ChannelBank>),
     /// The 4G model (paper §3.3; no monitor node, no hints).
     Cellular(Box<CellularChannel>),
 }
@@ -133,8 +135,8 @@ impl TestbedState {
     fn ping_once(&mut self, t: SimTime) {
         let rtt_ms = match &mut self.last_hop {
             LastHop::Wireless(wifi) => {
-                let up = wifi.transmit_up(t);
-                let down = wifi.transmit_down(t);
+                let up = wifi.lane(0).and_then(|mut lane| lane.transmit_up(t));
+                let down = wifi.lane(0).and_then(|mut lane| lane.transmit_down(t));
                 match (up, down) {
                     (Some(u), Some(d)) => Some(u.as_millis_f64() + d.as_millis_f64() + 1.0),
                     _ => None,
@@ -223,7 +225,7 @@ impl Testbed {
     /// A wireless testbed with the monitor node active.
     pub fn wireless(cfg: TestbedConfig, seed: u64) -> Self {
         let mut root = SimRng::new(seed);
-        let wifi = WifiChannel::new(cfg.wifi, root.fork(1));
+        let wifi = ChannelBank::new(cfg.wifi, vec![root.fork(1)]);
         let cross = CrossTraffic::new(cfg.cross, cfg.initial_frequency, root.fork(2));
         let state = TestbedState {
             last_hop: LastHop::Wireless(Box::new(wifi)),
@@ -318,7 +320,7 @@ impl Testbed {
     pub fn hints(&mut self, t: SimTime) -> Option<WirelessHints> {
         self.advance_to(t);
         match &mut self.state.last_hop {
-            LastHop::Wireless(wifi) => Some(wifi.hints(t)),
+            LastHop::Wireless(wifi) => wifi.lane(0).map(|mut lane| lane.hints(t)),
             _ => None,
         }
     }
@@ -327,7 +329,7 @@ impl Testbed {
     pub fn last_hop_up(&mut self, t: SimTime) -> Option<SimDuration> {
         self.advance_to(t);
         match &mut self.state.last_hop {
-            LastHop::Wireless(wifi) => wifi.transmit_up(t),
+            LastHop::Wireless(wifi) => wifi.lane(0).and_then(|mut lane| lane.transmit_up(t)),
             LastHop::Wired { up, .. } => up.transmit(&mut self.state.rng),
             LastHop::Cellular(cell) => cell.transmit_up(t),
         }
@@ -337,7 +339,7 @@ impl Testbed {
     pub fn last_hop_down(&mut self, t: SimTime) -> Option<SimDuration> {
         self.advance_to(t);
         match &mut self.state.last_hop {
-            LastHop::Wireless(wifi) => wifi.transmit_down(t),
+            LastHop::Wireless(wifi) => wifi.lane(0).and_then(|mut lane| lane.transmit_down(t)),
             LastHop::Wired { down, .. } => down.transmit(&mut self.state.rng),
             LastHop::Cellular(cell) => cell.transmit_down(t),
         }

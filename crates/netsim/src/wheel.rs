@@ -39,9 +39,8 @@
 //! The cursor only moves forward, and `Sim::push` clamps times to `now`,
 //! so no entry is ever scheduled behind the cursor.
 //!
-//! The heap backend ([`crate::kernel::SchedulerKind::Heap`]) is the
-//! reference implementation; the property tests at the bottom pin the
-//! wheel to it on randomized schedules spanning same-instant batches,
+//! The tests at the bottom pin the wheel to a plain `BinaryHeap`
+//! reference on randomized schedules spanning same-instant batches,
 //! cascade boundaries and the overflow horizon.
 
 use std::cmp::Reverse;

@@ -28,9 +28,17 @@
 //! behind the cross-traffic download (bufferbloat), which is what makes
 //! the path *asymmetric* — the mechanism that corrupts SNTP's offset
 //! samples by half the asymmetry (see `ntp_wire::math`).
+//!
+//! ## Where the state lives
+//!
+//! This module holds the configuration, the hints type and the per-packet
+//! math. The live channel state (fading, jitter, ramped utilization, one
+//! RNG stream per station) lives in [`crate::lanes::ChannelBank`]: the
+//! testbed's wireless hop is a one-lane bank, and a fleet's access point
+//! is a bank with one lane per client.
 
 use clocksim::rng::SimRng;
-use clocksim::time::{SimDuration, SimTime};
+use clocksim::time::SimDuration;
 
 /// How the station moves relative to the WAP, expressed as a
 /// deterministic path-loss modulation (paper §7 asks for evaluation "in
@@ -224,9 +232,8 @@ impl StepCoeffs {
 // ---------------------------------------------------------------------------
 // Channel math, factored as free functions over scalar state.
 //
-// `WifiChannel` (one struct per lane) and `lanes::ChannelBank` (one Vec per
-// field, for fleet-scale populations) both delegate here, so the two layouts
-// are bit-identical by construction: same expressions, same RNG call order.
+// `lanes::ChannelBank` stores the state one Vec per field and its `Lane`
+// view calls these per packet, in the RNG order documented on each.
 // ---------------------------------------------------------------------------
 
 /// One OU/ramp step. RNG order: shadow gauss, then noise gauss.
@@ -331,196 +338,40 @@ pub(crate) fn downlink_bloat_ms(cfg: &WifiConfig, utilization: f64, rng: &mut Si
     }
 }
 
-/// The last-hop transmit surface shared by [`WifiChannel`] (one struct per
-/// lane) and [`crate::lanes::Lane`] (a view into the struct-of-arrays
-/// [`crate::lanes::ChannelBank`]). Exchange drivers that only need to move
-/// packets and read hints are generic over this, so the same code serves the
-/// single-device testbed and the million-client fleet.
-pub trait ChannelIo {
-    /// Evolve the channel state up to `t`.
-    fn advance_to(&mut self, t: SimTime);
-    /// Current wireless hints (advances the channel to `t` first).
-    fn hints(&mut self, t: SimTime) -> WirelessHints;
-    /// Transmit an uplink (station → WAP) packet at time `t`.
-    fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration>;
-    /// Transmit a downlink (WAP → station) packet at time `t`.
-    fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration>;
-}
-
-/// Live channel state.
-#[derive(Clone, Debug)]
-pub struct WifiChannel {
-    cfg: WifiConfig,
-    tx_power_dbm: f64,
-    shadow_db: f64,
-    noise_jitter_db: f64,
-    utilization: f64,
-    target_utilization: f64,
-    last_update: SimTime,
-    coeffs: StepCoeffs,
-    rng: SimRng,
-}
-
-impl WifiChannel {
-    /// Create a channel at `t = 0` with the given config and RNG stream.
-    pub fn new(cfg: WifiConfig, rng: SimRng) -> Self {
-        let tx = cfg.tx_power_dbm;
-        WifiChannel {
-            cfg,
-            tx_power_dbm: tx,
-            shadow_db: 0.0,
-            noise_jitter_db: 0.0,
-            utilization: 0.05,
-            target_utilization: 0.05,
-            last_update: SimTime::ZERO,
-            coeffs: StepCoeffs::empty(),
-            rng,
-        }
-    }
-
-    /// Evolve the OU processes up to `t`.
-    pub fn advance_to(&mut self, t: SimTime) {
-        let dt = (t - self.last_update).as_secs_f64();
-        if dt <= 0.0 {
-            return;
-        }
-        // `NaN != NaN`, so the first step always computes.
-        if self.coeffs.dt != dt {
-            self.coeffs = StepCoeffs::for_dt(&self.cfg, dt);
-        }
-        ou_step(
-            &self.coeffs,
-            &mut self.shadow_db,
-            &mut self.noise_jitter_db,
-            &mut self.utilization,
-            self.target_utilization,
-            &mut self.rng,
-        );
-        self.last_update = t;
-    }
-
-    /// Current wireless hints (advances the channel to `t` first).
-    pub fn hints(&mut self, t: SimTime) -> WirelessHints {
-        self.advance_to(t);
-        WirelessHints { rssi_dbm: self.rssi_dbm(), noise_dbm: self.noise_dbm() }
-    }
-
-    fn rssi_dbm(&self) -> f64 {
-        rssi_dbm(&self.cfg, self.tx_power_dbm, self.shadow_db, self.last_update.as_secs_f64())
-    }
-
-    fn noise_dbm(&self) -> f64 {
-        noise_dbm(&self.cfg, self.utilization, self.noise_jitter_db)
-    }
-
-    /// Current SNR, dB (RSSI − noise).
-    pub fn snr_db(&mut self, t: SimTime) -> f64 {
-        let h = self.hints(t);
-        h.snr_margin_db()
-    }
-
-    /// Set the medium-utilization *target* in `[0, 1]` (driven by the
-    /// cross-traffic generator); the current utilization ramps toward it
-    /// with `util_ramp_tau_secs`.
-    pub fn set_utilization(&mut self, u: f64) {
-        self.target_utilization = u.clamp(0.0, 1.0);
-    }
-
-    /// Set utilization immediately, bypassing the ramp (tests, scenario
-    /// setup).
-    pub fn set_utilization_now(&mut self, u: f64) {
-        self.target_utilization = u.clamp(0.0, 1.0);
-        self.utilization = self.target_utilization;
-    }
-
-    /// Current medium utilization.
-    pub fn utilization(&self) -> f64 {
-        self.utilization
-    }
-
-    /// Set the WAP transmit power, clamped to the legal range.
-    pub fn set_tx_power_dbm(&mut self, dbm: f64) {
-        let (lo, hi) = self.cfg.tx_power_range_dbm;
-        self.tx_power_dbm = dbm.clamp(lo, hi);
-    }
-
-    /// Adjust the WAP transmit power by `delta` dB, clamped.
-    pub fn adjust_tx_power_db(&mut self, delta: f64) {
-        self.set_tx_power_dbm(self.tx_power_dbm + delta);
-    }
-
-    /// Current transmit power, dBm.
-    pub fn tx_power_dbm(&self) -> f64 {
-        self.tx_power_dbm
-    }
-
-    /// Simulate the DCF attempt loop: returns `Some(link delay)` on
-    /// success within `max_attempts`, `None` when the frame is dropped.
-    fn transmit_frame(&mut self) -> Option<SimDuration> {
-        let p_fail =
-            attempt_failure_prob(&self.cfg, self.rssi_dbm(), self.noise_dbm(), self.utilization);
-        transmit_frame_delay(&self.cfg, p_fail, self.utilization, &mut self.rng)
-    }
-
-    /// Transmit an uplink (station → WAP) packet at time `t`.
-    pub fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
-        self.advance_to(t);
-        self.transmit_frame()
-    }
-
-    /// Transmit a downlink (WAP → station) packet at time `t`. Pays the
-    /// additional AP-queue bufferbloat behind cross-traffic.
-    pub fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration> {
-        self.advance_to(t);
-        let frame = self.transmit_frame()?;
-        let bloat_ms = downlink_bloat_ms(&self.cfg, self.utilization, &mut self.rng);
-        let total = frame.as_millis_f64() + bloat_ms;
-        Some(SimDuration::from_millis_f64(total.min(self.cfg.delay_cap_ms)))
-    }
-}
-
-impl ChannelIo for WifiChannel {
-    fn advance_to(&mut self, t: SimTime) {
-        WifiChannel::advance_to(self, t);
-    }
-    fn hints(&mut self, t: SimTime) -> WirelessHints {
-        WifiChannel::hints(self, t)
-    }
-    fn transmit_up(&mut self, t: SimTime) -> Option<SimDuration> {
-        WifiChannel::transmit_up(self, t)
-    }
-    fn transmit_down(&mut self, t: SimTime) -> Option<SimDuration> {
-        WifiChannel::transmit_down(self, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clocksim::time::SimTime;
+    use crate::lanes::{ChannelBank, Lane};
 
-    fn quiet_channel(seed: u64) -> WifiChannel {
-        let mut ch = WifiChannel::new(WifiConfig::default(), SimRng::new(seed));
+    fn quiet_channel(seed: u64) -> ChannelBank {
+        let mut ch = ChannelBank::new(WifiConfig::default(), vec![SimRng::new(seed)]);
         ch.set_utilization_now(0.05);
         ch
     }
 
-    fn congested_channel(seed: u64) -> WifiChannel {
+    fn congested_channel(seed: u64) -> ChannelBank {
         let cfg = WifiConfig { tx_power_dbm: 7.0, ..Default::default() };
-        let mut ch = WifiChannel::new(cfg, SimRng::new(seed));
+        let mut ch = ChannelBank::new(cfg, vec![SimRng::new(seed)]);
         ch.set_utilization_now(0.82);
         ch
+    }
+
+    /// The station's lane of a one-lane bank.
+    fn lane(ch: &mut ChannelBank) -> Lane<'_> {
+        ch.lane(0).expect("one-lane bank")
     }
 
     #[test]
     fn hints_reflect_power_and_utilization() {
         let mut ch = quiet_channel(1);
-        let good = ch.hints(SimTime::from_secs(1));
+        let good = lane(&mut ch).hints(SimTime::from_secs(1));
         assert!(good.rssi_dbm > -75.0, "rssi={}", good.rssi_dbm);
         assert!(good.noise_dbm < -80.0, "noise={}", good.noise_dbm);
         assert!(good.snr_margin_db() > 20.0);
 
         let mut ch = congested_channel(2);
-        let bad = ch.hints(SimTime::from_secs(1));
+        let bad = lane(&mut ch).hints(SimTime::from_secs(1));
         assert!(bad.rssi_dbm < -70.0, "rssi={}", bad.rssi_dbm);
         assert!(bad.noise_dbm > -70.0, "noise={}", bad.noise_dbm);
         assert!(bad.snr_margin_db() < 20.0);
@@ -533,7 +384,7 @@ mod tests {
         let mut total_ms = 0.0;
         for i in 0..2000 {
             let t = SimTime::from_millis(i * 100);
-            if let Some(d) = ch.transmit_up(t) {
+            if let Some(d) = lane(&mut ch).transmit_up(t) {
                 delivered += 1;
                 total_ms += d.as_millis_f64();
             }
@@ -550,7 +401,7 @@ mod tests {
         let mut delays = Vec::new();
         for i in 0..2000 {
             let t = SimTime::from_millis(i * 100);
-            if let Some(d) = ch.transmit_down(t) {
+            if let Some(d) = lane(&mut ch).transmit_down(t) {
                 delivered += 1;
                 delays.push(d.as_millis_f64());
             }
@@ -571,10 +422,10 @@ mod tests {
         let mut down = Vec::new();
         for i in 0..4000 {
             let t = SimTime::from_millis(i * 50);
-            if let Some(d) = ch.transmit_up(t) {
+            if let Some(d) = lane(&mut ch).transmit_up(t) {
                 up.push(d.as_millis_f64());
             }
-            if let Some(d) = ch.transmit_down(t) {
+            if let Some(d) = lane(&mut ch).transmit_down(t) {
                 down.push(d.as_millis_f64());
             }
         }
@@ -585,35 +436,42 @@ mod tests {
 
     #[test]
     fn tx_power_clamped_to_range() {
+        // RSSI moves dB for dB with transmit power; reading it twice at
+        // one instant holds every other term fixed.
         let mut ch = quiet_channel(6);
-        ch.set_tx_power_dbm(100.0);
-        assert_eq!(ch.tx_power_dbm(), 20.0);
+        let t = SimTime::from_secs(1);
+        let at_15_dbm = lane(&mut ch).hints(t).rssi_dbm;
+        ch.adjust_tx_power_db(100.0);
+        let high = lane(&mut ch).hints(t).rssi_dbm - at_15_dbm;
+        assert!((high - 5.0).abs() < 1e-9, "clamped to 20 dBm: {high}");
         ch.adjust_tx_power_db(-100.0);
-        assert_eq!(ch.tx_power_dbm(), 4.0);
+        let low = lane(&mut ch).hints(t).rssi_dbm - at_15_dbm;
+        assert!((low + 11.0).abs() < 1e-9, "clamped to 4 dBm: {low}");
     }
 
     #[test]
     fn utilization_clamped() {
         let mut ch = quiet_channel(7);
         ch.set_utilization_now(2.0);
-        assert_eq!(ch.utilization(), 1.0);
+        assert_eq!(lane(&mut ch).utilization(), 1.0);
         ch.set_utilization_now(-1.0);
-        assert_eq!(ch.utilization(), 0.0);
+        assert_eq!(lane(&mut ch).utilization(), 0.0);
     }
 
     #[test]
     fn utilization_ramps_not_jumps() {
         let mut ch = quiet_channel(12);
-        ch.advance_to(SimTime::from_secs(1));
+        lane(&mut ch).advance_to(SimTime::from_secs(1));
         ch.set_utilization(0.9);
         // Immediately after the command the medium is still quiet…
-        assert!(ch.utilization() < 0.2);
+        assert!(lane(&mut ch).utilization() < 0.2);
         // …one ramp-tau later it is partway…
-        ch.advance_to(SimTime::from_secs(5));
-        assert!((0.3..0.8).contains(&ch.utilization()), "u={}", ch.utilization());
+        lane(&mut ch).advance_to(SimTime::from_secs(5));
+        let u = lane(&mut ch).utilization();
+        assert!((0.3..0.8).contains(&u), "u={u}");
         // …and after several taus it has arrived.
-        ch.advance_to(SimTime::from_secs(30));
-        assert!(ch.utilization() > 0.85);
+        lane(&mut ch).advance_to(SimTime::from_secs(30));
+        assert!(lane(&mut ch).utilization() > 0.85);
     }
 
     #[test]
@@ -621,7 +479,7 @@ mod tests {
         let mut ch = quiet_channel(8);
         let mut values = Vec::new();
         for i in 0..200 {
-            values.push(ch.hints(SimTime::from_secs(i * 10)).rssi_dbm);
+            values.push(lane(&mut ch).hints(SimTime::from_secs(i * 10)).rssi_dbm);
         }
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -633,7 +491,9 @@ mod tests {
         let run = |seed| {
             let mut ch = congested_channel(seed);
             (0..100)
-                .map(|i| ch.transmit_down(SimTime::from_millis(i * 100)).map(|d| d.as_nanos()))
+                .map(|i| {
+                    lane(&mut ch).transmit_down(SimTime::from_millis(i * 100)).map(|d| d.as_nanos())
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
@@ -648,16 +508,17 @@ mod tests {
         let mut ch = quiet_channel(13);
         ch.set_utilization(0.9);
         for i in 1..=5 {
-            ch.advance_to(SimTime::from_secs(i));
+            lane(&mut ch).advance_to(SimTime::from_secs(i));
         }
-        ch.advance_to(SimTime::from_secs(105));
-        assert!(ch.utilization() > 0.899, "u={}", ch.utilization());
+        lane(&mut ch).advance_to(SimTime::from_secs(105));
+        let u = lane(&mut ch).utilization();
+        assert!(u > 0.899, "u={u}");
         // And back to a small step: shadow fading must keep moving on
         // freshly small coefficients, not the dt=100 ones (a≈0 would make
         // successive samples nearly independent at full σ; with dt=1 the
         // step-to-step change is bounded by c ≈ σ·sqrt(1-a²) ≈ 0.84 dB·g).
-        let r1 = ch.hints(SimTime::from_secs(106)).rssi_dbm;
-        let r2 = ch.hints(SimTime::from_secs(107)).rssi_dbm;
+        let r1 = lane(&mut ch).hints(SimTime::from_secs(106)).rssi_dbm;
+        let r2 = lane(&mut ch).hints(SimTime::from_secs(107)).rssi_dbm;
         assert!((r1 - r2).abs() < 3.0 * 0.84 * 3.0, "dt=1 steps should be correlated");
     }
 
@@ -665,8 +526,8 @@ mod tests {
     fn advance_is_idempotent_at_same_time() {
         let mut ch = quiet_channel(11);
         let t = SimTime::from_secs(5);
-        let a = ch.hints(t);
-        let b = ch.hints(t);
+        let a = lane(&mut ch).hints(t);
+        let b = lane(&mut ch).hints(t);
         assert_eq!(a, b);
     }
 }

@@ -1,17 +1,17 @@
-//! The assembled NTP daemon and its simulation driver.
+//! The assembled NTP daemon and its client-stack adapter.
 //!
 //! [`Ntpd`] owns a set of peer associations (each a [`ClockFilter`] plus
 //! reachability and poll state) and runs the full mitigation pipeline
 //! (filter → select → cluster → combine → discipline) every time a peer
-//! delivers a fresh working sample. [`run_ntpd`] drives it against the
-//! simulated testbed for head-to-head comparisons with SNTP and MNTP —
-//! the benchmarking the paper lists as future work.
+//! delivers a fresh working sample. [`NtpdDiscipline`] puts it behind
+//! the workspace's `mntp::Discipline` trait, so `mntp::drive` runs it
+//! against the simulated testbed for head-to-head comparisons with SNTP
+//! and MNTP — the benchmarking the paper lists as future work — and
+//! `mntp::run_fleet_on` runs it inside a fleet.
 
-use clocksim::time::{SimDuration, SimTime};
+use clocksim::time::SimTime;
 use clocksim::SimClock;
-use netsim::Testbed;
 use sntp::select::{cluster, combine, select_survivors, PeerCandidate};
-use sntp::ServerPool;
 
 use crate::clock_filter::{ClockFilter, FilterSample};
 use crate::discipline::{Discipline, DisciplineConfig, DisciplineVerdict};
@@ -179,19 +179,6 @@ impl Ntpd {
     }
 }
 
-/// The result of an [`run_ntpd`] simulation.
-#[derive(Clone, Debug, Default)]
-pub struct NtpdRun {
-    /// `(t_secs, clock true error ms)` — evaluation ground truth.
-    pub true_error_ms: Vec<(f64, f64)>,
-    /// System offsets the daemon computed, `(t_secs, offset_secs)`.
-    pub system_offsets: Vec<(f64, f64)>,
-    /// Total polls sent.
-    pub polls_sent: u64,
-    /// Steps applied.
-    pub steps: u64,
-}
-
 /// [`Ntpd`] behind the workspace-wide [`mntp::Discipline`] trait: the
 /// RFC 5905 client stack as the generic driver (and the fleet world)
 /// sees it.
@@ -200,8 +187,7 @@ pub struct NtpdRun {
 /// notion of elapsed seconds — as a real daemon would — and asks the
 /// association table which peers are due. All samples of a round are
 /// digested against that same pre-exchange local timestamp, and
-/// mitigation runs once per round with at least one fresh sample,
-/// exactly as the historical `run_ntpd` loop did.
+/// mitigation runs once per round with at least one fresh sample.
 pub struct NtpdDiscipline {
     daemon: Ntpd,
     now_local_secs: f64,
@@ -277,70 +263,28 @@ impl mntp::Discipline for NtpdDiscipline {
     }
 }
 
-fn run_ntpd_inner(
-    cfg: NtpdConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    faults: Option<&mut netsim::FaultInjector>,
-    timeout: Option<SimDuration>,
-    duration_secs: u64,
-) -> NtpdRun {
-    let mut d = NtpdDiscipline::new(&cfg);
-    let dcfg = mntp::DriverConfig {
-        ticks: duration_secs,
-        tick_secs: 1.0,
-        sample_every_tick: false,
-        timeout,
-    };
-    let run = mntp::drive(&mut d, testbed, pool, clock, faults, &dcfg);
-    NtpdRun {
-        true_error_ms: run.true_error_ms,
-        system_offsets: d.daemon.system_offsets.clone(),
-        polls_sent: run.polls_sent,
-        steps: d.daemon.steps(),
-    }
-}
-
-/// Drive an [`Ntpd`] against the testbed for `duration_secs`, ticking
-/// once per second. Thin wrapper over the generic [`mntp::drive`] loop
-/// with an [`NtpdDiscipline`].
-pub fn run_ntpd(
-    cfg: NtpdConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    duration_secs: u64,
-) -> NtpdRun {
-    run_ntpd_inner(cfg, testbed, pool, clock, None, None, duration_secs)
-}
-
-/// [`run_ntpd`] through the fault-injecting network: every exchange goes
-/// via [`sntp::perform_exchange_faulted`] with a per-poll timeout, so
-/// outages, loss storms, kiss-o'-death and corruption all bite. The
-/// daemon's own RFC 5905 machinery (reachability registers, poll
-/// backoff) is its hardening; this driver adds nothing on top, which is
-/// exactly what makes it a fair comparison arm for the fault sweep.
-pub fn run_ntpd_faulted(
-    cfg: NtpdConfig,
-    testbed: &mut Testbed,
-    pool: &mut ServerPool,
-    clock: &mut SimClock,
-    faults: &mut netsim::FaultInjector,
-    timeout_secs: f64,
-    duration_secs: u64,
-) -> NtpdRun {
-    let timeout = Some(SimDuration::from_secs_f64(timeout_secs));
-    run_ntpd_inner(cfg, testbed, pool, clock, Some(faults), timeout, duration_secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sntp::perform_exchange;
+    use clocksim::time::SimDuration;
     use clocksim::{OscillatorConfig, SimRng};
+    use netsim::Testbed;
     use ntp_wire::NtpDuration;
-    use sntp::PoolConfig;
+    use sntp::{perform_exchange, PoolConfig, ServerPool};
+
+    /// Drive a daemon over `peers` for `secs`, one tick per second;
+    /// returns the run and the daemon's step count.
+    fn run_daemon(
+        peers: Vec<usize>,
+        tb: &mut Testbed,
+        pool: &mut ServerPool,
+        clock: &mut SimClock,
+        secs: u64,
+    ) -> (mntp::MntpRun, u64) {
+        let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(peers));
+        let run = mntp::drive(&mut d, tb, pool, clock, None, &mntp::DriverConfig::span(secs, 1.0));
+        (run, d.daemon().steps())
+    }
 
     fn clock_with(skew_ppm: f64, initial_error_ms: i64, seed: u64) -> SimClock {
         let osc = OscillatorConfig::laptop().with_skew_ppm(skew_ppm).build(SimRng::new(seed));
@@ -359,10 +303,9 @@ mod tests {
             2,
         );
         let mut clock = clock_with(12.0, 400, 3);
-        let cfg = NtpdConfig::with_peers(vec![0, 1, 2, 3]);
-        let run = run_ntpd(cfg, &mut tb, &mut pool, &mut clock, 3600);
+        let (run, steps) = run_daemon(vec![0, 1, 2, 3], &mut tb, &mut pool, &mut clock, 3600);
         // Initial error 400 ms → stepped early, then disciplined.
-        assert!(run.steps >= 1, "expected an initial step");
+        assert!(steps >= 1, "expected an initial step");
         let late: Vec<f64> = run
             .true_error_ms
             .iter()
@@ -388,8 +331,7 @@ mod tests {
             NtpDuration::from_millis(300),
         );
         let mut clock = clock_with(5.0, 0, 6);
-        let cfg = NtpdConfig::with_peers(vec![0, 1, 2, 3]);
-        let run = run_ntpd(cfg, &mut tb, &mut pool, &mut clock, 3600);
+        let (run, _) = run_daemon(vec![0, 1, 2, 3], &mut tb, &mut pool, &mut clock, 3600);
         let late: Vec<f64> = run
             .true_error_ms
             .iter()
@@ -454,13 +396,7 @@ mod tests {
             let mut tb = Testbed::wired(10);
             let mut pool = ServerPool::new(PoolConfig::default(), 11);
             let mut clock = clock_with(8.0, 100, 12);
-            let run = run_ntpd(
-                NtpdConfig::with_peers(vec![0, 1, 2, 3]),
-                &mut tb,
-                &mut pool,
-                &mut clock,
-                900,
-            );
+            let (run, _) = run_daemon(vec![0, 1, 2, 3], &mut tb, &mut pool, &mut clock, 900);
             run.true_error_ms.iter().map(|(_, e)| (*e * 1e6) as i64).collect::<Vec<_>>()
         };
         assert_eq!(go(), go());

@@ -22,7 +22,8 @@
 //!   transport-only answer to the asymmetry problem MNTP attacks with
 //!   cross-layer hints.
 //! * [`daemon`] — [`daemon::Ntpd`] glues the stages to a peer set with
-//!   reachability tracking and poll scheduling.
+//!   reachability tracking and poll scheduling; [`daemon::NtpdDiscipline`]
+//!   runs it under `mntp::drive` and inside fleets.
 //!
 //! Simplifications relative to a production `ntpd` (documented here per
 //! the repo's omissions policy): no symmetric/broadcast modes, no
@@ -39,5 +40,5 @@ pub mod huffpuff;
 
 pub use clock_filter::{ClockFilter, FilterSample};
 pub use huffpuff::HuffPuff;
-pub use daemon::{run_ntpd, run_ntpd_faulted, Ntpd, NtpdConfig, NtpdDiscipline, NtpdRun};
+pub use daemon::{Ntpd, NtpdConfig, NtpdDiscipline};
 pub use discipline::{Discipline, DisciplineConfig};

@@ -1,8 +1,10 @@
 //! Exchange composition: one SNTP request/reply round trip across the
 //! simulated network.
 //!
-//! [`perform_exchange`] is the only place where protocol bytes, clocks,
-//! and network models meet:
+//! [`perform_exchange_with`] is the one single-device round trip, where
+//! protocol bytes, clocks and the testbed's network models meet (its
+//! fault-free form is [`perform_exchange`]; the fleet's phased sibling is
+//! [`crate::fleet`]):
 //!
 //! 1. read T1 from the client's clock, serialize a request;
 //! 2. carry it across the last hop (WiFi/wired/cellular) and the backbone
@@ -72,7 +74,7 @@ impl CompletedExchange {
     }
 }
 
-/// A packet observed during a traced exchange, for pcap dumping.
+/// A packet observed during a captured exchange, for pcap dumping.
 #[derive(Clone, Debug)]
 pub struct TracedPacket {
     /// True time the packet was *captured* (client-side vantage: requests
@@ -84,63 +86,50 @@ pub struct TracedPacket {
     pub bytes: Vec<u8>,
 }
 
-/// [`perform_exchange`], additionally capturing the request and reply
-/// bytes as a client-side tcpdump would see them. Lost packets are still
-/// captured in the direction(s) they were observed (an outbound request
-/// appears even if its reply never comes — exactly like a real capture).
-pub fn perform_exchange_traced(
-    testbed: &mut Testbed,
-    server: &mut SimServer,
-    clock: &mut dyn ClockControl,
-    t: SimTime,
-    capture: &mut Vec<TracedPacket>,
-) -> Result<CompletedExchange, ExchangeError> {
-    let t = t.max(clock.position());
-    let mut client = SntpClient::new();
-    let t1 = clock.now(t);
-    let request = client.make_request(t1);
-    capture.push(TracedPacket { at: t, outbound: true, bytes: request.clone() });
-
-    let Some(hop_up) = testbed.last_hop_up(t) else {
-        return Err(ExchangeError::LostLastHopUp);
-    };
-    let bb_up = {
-        let SimServer { backbone_up, rng, .. } = server;
-        backbone_up.transmit(rng)
-    };
-    let Some(bb_up) = bb_up else {
-        return Err(ExchangeError::LostBackboneUp);
-    };
-    let fwd = hop_up + bb_up;
-    let arrival = t + fwd;
-    let (reply_bytes, departure) =
-        server.handle(&request, arrival).map_err(|_| ExchangeError::RejectedReply)?;
-    let bb_down = {
-        let SimServer { backbone_down, rng, .. } = server;
-        backbone_down.transmit(rng)
-    };
-    let Some(bb_down) = bb_down else {
-        return Err(ExchangeError::LostBackboneDown);
-    };
-    let at_wap = departure + bb_down;
-    let Some(hop_down) = testbed.last_hop_down(at_wap) else {
-        return Err(ExchangeError::LostLastHopDown);
-    };
-    let back = bb_down + hop_down;
-    let completed_at = departure + back;
-    capture.push(TracedPacket { at: completed_at, outbound: false, bytes: reply_bytes.clone() });
-
-    let t4 = clock.now(completed_at);
-    let sample = client.on_reply(&reply_bytes, t4).map_err(|_| ExchangeError::RejectedReply)?;
-    Ok(CompletedExchange { sample, true_fwd: fwd, true_back: back, completed_at, server_id: server.id })
-}
-
-/// Perform one full exchange starting at true time `t`.
+/// Perform one full exchange starting at true time `t`: the no-fault,
+/// no-timeout, no-capture form of [`perform_exchange_with`].
 pub fn perform_exchange(
     testbed: &mut Testbed,
     server: &mut SimServer,
     clock: &mut dyn ClockControl,
     t: SimTime,
+) -> Result<CompletedExchange, ExchangeError> {
+    perform_exchange_with(testbed, server, clock, t, None, None, None)
+}
+
+/// One request/reply round trip starting at true time `t`, optionally
+/// through a fault layer, under a per-query timeout, and observed by a
+/// client-side capture.
+///
+/// With `faults`, the [`FaultInjector`] is consulted at every stage, *on
+/// top of* the testbed's own channel models (a packet must survive both):
+///
+/// * due client clock steps (suspend/resume) are applied before T1 is
+///   read, and a due falseticker onset steps the server's clock;
+/// * while a kiss-o'-death window covers this server, its rate limiting
+///   is forced on (and released when the window ends);
+/// * the request faces storm/outage drops, then extra uplink delay;
+/// * the reply faces drops, corruption, duplication, and extra downlink
+///   delay; a duplicated reply's second copy is fed to the client right
+///   behind the first and must be rejected.
+///
+/// If the reply lands after `timeout`, the request is abandoned
+/// (`Err(Timeout)`) and the late reply is fed to the client anyway — it
+/// must be rejected and counted, exactly like a stale packet on real
+/// hardware.
+///
+/// `capture` records the request and reply bytes as a client-side
+/// tcpdump would see them: the request at departure, and the reply when
+/// it crosses the last hop back (late replies included). It is
+/// observation only and never changes the result.
+pub fn perform_exchange_with(
+    testbed: &mut Testbed,
+    server: &mut SimServer,
+    clock: &mut dyn ClockControl,
+    t: SimTime,
+    mut faults: Option<&mut FaultInjector>,
+    timeout: Option<SimDuration>,
+    mut capture: Option<&mut Vec<TracedPacket>>,
 ) -> Result<CompletedExchange, ExchangeError> {
     // A request cannot depart at a time the clock has already passed
     // (e.g. another client on the same host just finished an exchange
@@ -148,10 +137,39 @@ pub fn perform_exchange(
     // *later* clock state than the nominal departure time, biasing the
     // measured offset by half the discrepancy.
     let t = t.max(clock.position());
+    if let Some(f) = faults.as_deref_mut() {
+        // Suspend/resume: the device wakes with its clock wrong.
+        for step_ms in f.take_clock_steps(t) {
+            clock.step(t, NtpDuration::from_seconds_f64(step_ms / 1e3));
+        }
+        // A good server going bad: its reference clock steps once.
+        if let Some(err_ms) = f.take_falseticker_onset(t, server.id) {
+            server.clock.step(t, NtpDuration::from_seconds_f64(err_ms / 1e3));
+        }
+        // The fault layer owns the rate-limit knob of servers it
+        // schedules KoD windows for: limiting on inside the window, off
+        // outside.
+        if f.kod_manages(server.id) {
+            server.min_poll_interval = f.kod_min_poll(t, server.id);
+        }
+    }
+
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
     let request = client.make_request(t1);
+    if let Some(cap) = capture.as_deref_mut() {
+        cap.push(TracedPacket { at: t, outbound: true, bytes: request.clone() });
+    }
 
+    if let Some(f) = faults.as_deref_mut() {
+        if f.uplink_fate(t, server.id) == PacketFate::Drop {
+            return Err(if f.outage_active(t, server.id) {
+                ExchangeError::Blackholed
+            } else {
+                ExchangeError::LostLastHopUp
+            });
+        }
+    }
     // Client → WAP/Internet.
     let Some(hop_up) = testbed.last_hop_up(t) else {
         return Err(ExchangeError::LostLastHopUp);
@@ -164,12 +182,27 @@ pub fn perform_exchange(
     let Some(bb_up) = bb_up else {
         return Err(ExchangeError::LostBackboneUp);
     };
-    let fwd = hop_up + bb_up;
+    let spike_up = faults.as_deref_mut().map_or(SimDuration::ZERO, |f| f.extra_delay_up(t));
+    let fwd = hop_up + bb_up + spike_up;
     let arrival = t + fwd;
 
     let (reply_bytes, departure) =
         server.handle(&request, arrival).map_err(|_| ExchangeError::RejectedReply)?;
 
+    let fate = match faults.as_deref_mut() {
+        Some(f) => {
+            let fate = f.downlink_fate(departure, server.id);
+            if fate == PacketFate::Drop {
+                return Err(if f.outage_active(departure, server.id) {
+                    ExchangeError::Blackholed
+                } else {
+                    ExchangeError::LostLastHopDown
+                });
+            }
+            fate
+        }
+        None => PacketFate::Deliver,
+    };
     // Server → WAP.
     let bb_down = {
         let SimServer { backbone_down, rng, .. } = server;
@@ -178,130 +211,17 @@ pub fn perform_exchange(
     let Some(bb_down) = bb_down else {
         return Err(ExchangeError::LostBackboneDown);
     };
+    let spike_down = faults.map_or(SimDuration::ZERO, |f| f.extra_delay_down(departure));
     // WAP → client. The downlink is sampled at the reply's arrival at the
     // WAP, so it sees the channel state of that moment.
-    let at_wap = departure + bb_down;
-    let Some(hop_down) = testbed.last_hop_down(at_wap) else {
-        return Err(ExchangeError::LostLastHopDown);
-    };
-    let back = bb_down + hop_down;
-    let completed_at = departure + back;
-
-    let t4 = clock.now(completed_at);
-    let sample =
-        client.on_reply(&reply_bytes, t4).map_err(|_| ExchangeError::RejectedReply)?;
-
-    Ok(CompletedExchange {
-        sample,
-        true_fwd: fwd,
-        true_back: back,
-        completed_at,
-        server_id: server.id,
-    })
-}
-
-/// [`perform_exchange`] with a fault layer and a per-query timeout: the
-/// hardened client's one round trip through a hostile world.
-///
-/// The [`FaultInjector`] is consulted at every stage, *on top of* the
-/// testbed's own channel models (a packet must survive both):
-///
-/// * due client clock steps (suspend/resume) are applied before T1 is
-///   read, and a due falseticker onset steps the server's clock;
-/// * while a kiss-o'-death window covers this server, its rate limiting
-///   is forced on (and released when the window ends);
-/// * the request faces storm/outage drops, then extra uplink delay;
-/// * the reply faces drops, corruption, duplication, and extra downlink
-///   delay;
-/// * if the reply lands after `timeout`, the request is abandoned
-///   (`Err(Timeout)`) and the late reply is fed to the client anyway —
-///   it must be rejected and counted, exactly like a stale packet on
-///   real hardware; a duplicated reply's second copy is handled the
-///   same way after the first is consumed.
-pub fn perform_exchange_faulted(
-    testbed: &mut Testbed,
-    server: &mut SimServer,
-    clock: &mut dyn ClockControl,
-    t: SimTime,
-    faults: &mut FaultInjector,
-    timeout: Option<SimDuration>,
-) -> Result<CompletedExchange, ExchangeError> {
-    let t = t.max(clock.position());
-    // Suspend/resume: the device wakes with its clock wrong.
-    for step_ms in faults.take_clock_steps(t) {
-        clock.step(t, NtpDuration::from_seconds_f64(step_ms / 1e3));
-    }
-    // A good server going bad: its reference clock steps once.
-    if let Some(err_ms) = faults.take_falseticker_onset(t, server.id) {
-        server.clock.step(t, NtpDuration::from_seconds_f64(err_ms / 1e3));
-    }
-    // The fault layer owns the rate-limit knob of servers it schedules
-    // KoD windows for: limiting on inside the window, off outside.
-    if faults.kod_manages(server.id) {
-        server.min_poll_interval = faults.kod_min_poll(t, server.id);
-    }
-
-    let mut client = SntpClient::new();
-    let t1 = clock.now(t);
-    let request = client.make_request(t1);
-
-    if faults.uplink_fate(t, server.id) == PacketFate::Drop {
-        return Err(if faults.outage_active(t, server.id) {
-            ExchangeError::Blackholed
-        } else {
-            ExchangeError::LostLastHopUp
-        });
-    }
-    let Some(hop_up) = testbed.last_hop_up(t) else {
-        return Err(ExchangeError::LostLastHopUp);
-    };
-    let bb_up = {
-        let SimServer { backbone_up, rng, .. } = server;
-        backbone_up.transmit(rng)
-    };
-    let Some(bb_up) = bb_up else {
-        return Err(ExchangeError::LostBackboneUp);
-    };
-    let fwd = hop_up + bb_up + faults.extra_delay_up(t);
-    let arrival = t + fwd;
-
-    let (reply_bytes, departure) =
-        server.handle(&request, arrival).map_err(|_| ExchangeError::RejectedReply)?;
-
-    let fate = faults.downlink_fate(departure, server.id);
-    if fate == PacketFate::Drop {
-        return Err(if faults.outage_active(departure, server.id) {
-            ExchangeError::Blackholed
-        } else {
-            ExchangeError::LostLastHopDown
-        });
-    }
-    let bb_down = {
-        let SimServer { backbone_down, rng, .. } = server;
-        backbone_down.transmit(rng)
-    };
-    let Some(bb_down) = bb_down else {
-        return Err(ExchangeError::LostBackboneDown);
-    };
-    let spike_down = faults.extra_delay_down(departure);
     let at_wap = departure + bb_down + spike_down;
     let Some(hop_down) = testbed.last_hop_down(at_wap) else {
         return Err(ExchangeError::LostLastHopDown);
     };
     let back = bb_down + spike_down + hop_down;
     let completed_at = departure + back;
-    let t4 = clock.now(completed_at);
 
-    if timeout.is_some_and(|to| (completed_at - t).as_nanos() > to.as_nanos()) {
-        // The caller gave up before the reply landed; the late packet
-        // still reaches the socket and must be rejected, not applied.
-        client.abandon();
-        let late = client.on_reply_classified(&reply_bytes, t4);
-        debug_assert!(late.is_err(), "stale reply must not be accepted");
-        return Err(ExchangeError::Timeout);
-    }
-
-    let mut delivered = reply_bytes.clone();
+    let mut delivered = reply_bytes;
     if fate == PacketFate::Corrupt {
         // Flip the origin-timestamp field: the packet still parses but
         // cannot pass the bogus-reply check.
@@ -309,6 +229,19 @@ pub fn perform_exchange_faulted(
         for b in &mut delivered[24..32] {
             *b ^= 0xFF;
         }
+    }
+    if let Some(cap) = capture {
+        cap.push(TracedPacket { at: completed_at, outbound: false, bytes: delivered.clone() });
+    }
+    let t4 = clock.now(completed_at);
+
+    if timeout.is_some_and(|to| (completed_at - t).as_nanos() > to.as_nanos()) {
+        // The caller gave up before the reply landed; the late packet
+        // still reaches the socket and must be rejected, not applied.
+        client.abandon();
+        let late = client.on_reply_classified(&delivered, t4);
+        debug_assert!(late.is_err(), "stale reply must not be accepted");
+        return Err(ExchangeError::Timeout);
     }
 
     let outcome =
@@ -319,7 +252,7 @@ pub fn perform_exchange_faulted(
     };
     if fate == PacketFate::Duplicate {
         // The clone lands right behind the consumed original.
-        let dup = client.on_reply_classified(&reply_bytes, t4);
+        let dup = client.on_reply_classified(&delivered, t4);
         debug_assert!(dup.is_err(), "duplicate reply must not be double-applied");
     }
     Ok(CompletedExchange {
@@ -447,6 +380,18 @@ mod tests {
         assert!((done.sample.offset.as_millis_f64() - 500.0).abs() < 5.0);
     }
 
+    /// The round trip through a fault layer, uncaptured.
+    fn faulted(
+        tb: &mut Testbed,
+        server: &mut SimServer,
+        clock: &mut SimClock,
+        t: SimTime,
+        faults: &mut FaultInjector,
+        timeout: Option<SimDuration>,
+    ) -> Result<CompletedExchange, ExchangeError> {
+        perform_exchange_with(tb, server, clock, t, Some(faults), timeout, None)
+    }
+
     fn quiet_pool(seed: u64) -> ServerPool {
         ServerPool::new(
             PoolConfig {
@@ -472,15 +417,9 @@ mod tests {
         for i in 0..50 {
             let t = SimTime::from_secs(i * 10);
             let plain = perform_exchange(&mut tb_a, pool_a.server_mut(0), &mut clock_a, t);
-            let faulted = perform_exchange_faulted(
-                &mut tb_b,
-                pool_b.server_mut(0),
-                &mut clock_b,
-                t,
-                &mut faults,
-                None,
-            );
-            match (plain, faulted) {
+            let via_faults =
+                faulted(&mut tb_b, pool_b.server_mut(0), &mut clock_b, t, &mut faults, None);
+            match (plain, via_faults) {
                 (Ok(a), Ok(b)) => assert_eq!(a.sample, b.sample),
                 (a, b) => panic!("paths diverged: {a:?} vs {b:?}"),
             }
@@ -499,7 +438,7 @@ mod tests {
         let mut pool = quiet_pool(23);
         let mut clock = perfect_clock();
         let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut FaultInjector, s: i64| {
-            perform_exchange_faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
+            faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
         };
         assert!(go(&mut tb, &mut pool, &mut clock, &mut faults, 50).is_ok());
         assert_eq!(
@@ -522,7 +461,7 @@ mod tests {
         let mut tb = Testbed::wired(24);
         let mut pool = quiet_pool(25);
         let mut clock = perfect_clock();
-        let err = perform_exchange_faulted(
+        let err = faulted(
             &mut tb,
             pool.server_mut(0),
             &mut clock,
@@ -533,7 +472,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ExchangeError::Timeout);
         // With a roomier budget the same spike is tolerated.
-        let ok = perform_exchange_faulted(
+        let ok = faulted(
             &mut tb,
             pool.server_mut(0),
             &mut clock,
@@ -552,7 +491,7 @@ mod tests {
         let mut tb = Testbed::wired(26);
         let mut pool = quiet_pool(27);
         let mut clock = perfect_clock();
-        let err = perform_exchange_faulted(
+        let err = faulted(
             &mut tb,
             pool.server_mut(0),
             &mut clock,
@@ -575,7 +514,7 @@ mod tests {
         let mut clock = perfect_clock();
         // Succeeds despite every reply being cloned: the duplicate is
         // rejected internally (debug_assert'd in the exchange).
-        let done = perform_exchange_faulted(
+        let done = faulted(
             &mut tb,
             pool.server_mut(0),
             &mut clock,
@@ -600,7 +539,7 @@ mod tests {
         let mut pool = quiet_pool(31);
         let mut clock = perfect_clock();
         let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut FaultInjector, s: i64| {
-            perform_exchange_faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
+            faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
         };
         // Inside the window, polls 10 s apart: first primes the limiter,
         // second draws RATE.
@@ -623,12 +562,12 @@ mod tests {
         let mut tb = Testbed::wired(32);
         let mut pool = quiet_pool(33);
         let mut clock = perfect_clock();
-        let before = perform_exchange_faulted(
+        let before = faulted(
             &mut tb, pool.server_mut(0), &mut clock, SimTime::from_secs(50), &mut faults, None,
         )
         .unwrap();
         assert!(before.sample.offset.as_millis_f64().abs() < 50.0);
-        let after = perform_exchange_faulted(
+        let after = faulted(
             &mut tb, pool.server_mut(0), &mut clock, SimTime::from_secs(150), &mut faults, None,
         )
         .unwrap();
@@ -645,7 +584,7 @@ mod tests {
         let mut tb = Testbed::wired(34);
         let mut pool = quiet_pool(35);
         let mut clock = perfect_clock();
-        let done = perform_exchange_faulted(
+        let done = faulted(
             &mut tb, pool.server_mut(0), &mut clock, SimTime::from_secs(150), &mut faults, None,
         )
         .unwrap();
@@ -669,7 +608,7 @@ mod tests {
             let mut clock = perfect_clock();
             (0..200)
                 .map(|i| {
-                    perform_exchange_faulted(
+                    faulted(
                         &mut tb,
                         pool.server_mut((i % 2) as usize),
                         &mut clock,
@@ -683,5 +622,68 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A capture only observes: two identically seeded lossy wireless
+    /// worlds, one captured and one not, return the same results, and the
+    /// capture holds each request plus each reply that crossed the last
+    /// hop back.
+    #[test]
+    fn capture_is_observation_only() {
+        let world = || {
+            let cfg = TestbedConfig {
+                wifi: netsim::WifiConfig { path_loss_db: 92.0, ..Default::default() },
+                ..Default::default()
+            };
+            let pool = ServerPool::new(PoolConfig::default(), 41);
+            (Testbed::wireless(cfg, 40), pool, perfect_clock())
+        };
+        let (mut tb_a, mut pool_a, mut clock_a) = world();
+        let (mut tb_b, mut pool_b, mut clock_b) = world();
+        let mut capture = Vec::new();
+        let (mut lost, mut answered) = (0, 0);
+        for i in 0..200 {
+            let t = SimTime::from_secs(i * 5);
+            let (ia, ib) = (pool_a.pick(), pool_b.pick());
+            let plain = perform_exchange(&mut tb_a, pool_a.server_mut(ia), &mut clock_a, t);
+            let before = capture.len();
+            let captured = perform_exchange_with(
+                &mut tb_b,
+                pool_b.server_mut(ib),
+                &mut clock_b,
+                t,
+                None,
+                None,
+                Some(&mut capture),
+            );
+            let fingerprint = |r: &Result<CompletedExchange, ExchangeError>| {
+                r.map(|d| (d.sample, d.true_fwd, d.true_back, d.completed_at, d.server_id))
+            };
+            assert_eq!(fingerprint(&plain), fingerprint(&captured), "exchange {i}");
+            // Every failure mode a valid request meets before the reply
+            // reaches the client is a loss on one of the four legs.
+            let crossed_back = !matches!(
+                captured,
+                Err(ExchangeError::LostLastHopUp
+                    | ExchangeError::LostBackboneUp
+                    | ExchangeError::LostBackboneDown
+                    | ExchangeError::LostLastHopDown)
+            );
+            let new = capture.get(before..).unwrap_or_default();
+            assert_eq!(new.len(), 1 + usize::from(crossed_back), "exchange {i}");
+            assert!(new.first().is_some_and(|p| p.outbound && p.at >= t));
+            if let Some(reply) = new.get(1) {
+                assert!(!reply.outbound);
+                if let Ok(done) = captured {
+                    assert_eq!(reply.at, done.completed_at);
+                }
+            }
+            if crossed_back {
+                answered += 1;
+            } else {
+                lost += 1;
+            }
+        }
+        assert!(lost > 0 && answered > 0, "lost {lost}, answered {answered}");
     }
 }

@@ -14,10 +14,11 @@
 //!   assignment per request, including a configurable fraction of
 //!   *false tickers* (servers whose clock is badly off), which is what
 //!   MNTP's warmup-phase rejection heuristic exists to defeat.
-//! * [`exchange`] — [`exchange::perform_exchange`]: serializes a request,
-//!   walks it across the last hop and backbone (each leg can drop or
-//!   delay it), has the server answer, and walks the reply back. All four
-//!   timestamps come from the respective clocks; nothing reads true time.
+//! * [`exchange`] — [`exchange::perform_exchange_with`]: serializes a
+//!   request, walks it across the last hop and backbone (each leg can drop
+//!   or delay it), has the server answer, and walks the reply back. All
+//!   four timestamps come from the respective clocks; nothing reads true
+//!   time. [`exchange::perform_exchange`] is its fault-free form.
 //! * [`vendor`] — Android KitKat / Windows Mobile SNTP policies and NITZ,
 //!   reproducing the OS behaviours in §2 of the paper.
 //! * [`energy`] — the Balasubramanian-style radio energy model behind
@@ -33,7 +34,7 @@
 //!   zero-copy parse → classify → sharded rate-limit → in-place reply
 //!   emission, behaviorally pinned to [`server::SimServer`].
 //!
-//! The hardened-client surface ([`exchange::perform_exchange_faulted`],
+//! The hardened-client surface ([`exchange::perform_exchange_with`],
 //! [`pool::HealthTracker`], kiss-o'-death handling via
 //! [`client::ReplyOutcome`]) composes with `netsim::faults` to survive
 //! the episodic failures the fault layer injects.
@@ -55,12 +56,11 @@ pub mod vendor;
 pub use client::{OffsetSample, ReplyOutcome, SntpClient};
 pub use energy::{EnergyMeter, EnergyModel};
 pub use fleet::{
-    begin_fleet_exchange, complete_fleet_exchange, perform_fleet_exchange, serve_fleet_exchange,
-    FleetArrival, FleetReplyInFlight, FleetRequestInFlight, RequestShape,
+    begin_fleet_exchange, complete_fleet_exchange, serve_fleet_exchange, FleetArrival,
+    FleetReplyInFlight, FleetRequestInFlight, RequestShape,
 };
 pub use exchange::{
-    perform_exchange, perform_exchange_faulted, perform_exchange_traced, CompletedExchange,
-    ExchangeError, TracedPacket,
+    perform_exchange, perform_exchange_with, CompletedExchange, ExchangeError, TracedPacket,
 };
 pub use pool::{
     HealthConfig, HealthTracker, PickLane, PoolConfig, ServerHealth, ServerPool, ServerSelect,

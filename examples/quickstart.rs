@@ -7,7 +7,7 @@
 
 use mntp_repro::clocksim::time::SimTime;
 use mntp_repro::clocksim::{stats, OscillatorConfig, SimClock, SimRng};
-use mntp_repro::mntp::{run_baseline, MntpConfig};
+use mntp_repro::mntp::{drive, DriverConfig, MntpConfig, SntpDiscipline};
 use mntp_repro::netsim::testbed::TestbedConfig;
 use mntp_repro::netsim::Testbed;
 use mntp_repro::sntp::{perform_exchange, PoolConfig, ServerPool};
@@ -41,7 +41,9 @@ fn main() {
     let mut pool = ServerPool::new(PoolConfig::default(), seed + 1);
     let osc = OscillatorConfig::laptop().with_skew_ppm(30.0).build(SimRng::new(seed + 2));
     let mut clock = SimClock::new(osc, SimTime::ZERO);
-    let run = run_baseline(MntpConfig::baseline(5.0), &mut testbed, &mut pool, &mut clock, 900, 5.0);
+    let mut mntp = SntpDiscipline::baseline(&MntpConfig::baseline(5.0));
+    let every_poll = DriverConfig { sample_every_tick: true, ..DriverConfig::span(900, 5.0) };
+    let run = drive(&mut mntp, &mut testbed, &mut pool, &mut clock, None, &every_poll);
     let accepted = run.accepted_offsets();
     let acc = stats::Summary::of(&accepted);
     println!(

@@ -6,11 +6,12 @@
 //! cargo run --release --example three_way
 //! ```
 
+use devtools::par::Pool;
 use mntp_repro::experiments::extended;
 
 fn main() {
     println!("running SNTP / MNTP / NTP head-to-head (2 simulated hours each)…\n");
-    let r = extended::three_way(42, 2 * 3600);
+    let r = extended::three_way_on(&Pool::from_env(), 42, 2 * 3600);
     print!("{}", extended::render_three_way(&r));
     println!(
         "\nTakeaways: naive SNTP stepping wrecks the clock on every wireless spike;\n\

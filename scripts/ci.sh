@@ -45,6 +45,9 @@ cargo run --release --offline -p mntp-bench --bin compare -- \
 echo "== repro smoke (quick suite, release) =="
 MNTP_SMOKE=1 cargo test -q --release --offline --test repro_smoke
 
+echo "== committed single-device and log-analysis artifacts match the code =="
+cargo test -q --release --offline --test committed_artifacts
+
 echo "== fleet is jobs-invariant (artifact + sharded trial) =="
 cargo test -q --release --offline --test parallel_equivalence fleet
 

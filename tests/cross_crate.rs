@@ -6,7 +6,8 @@ use mntp_repro::clocksim::time::{SimDuration, SimTime};
 use mntp_repro::clocksim::{ClockControl, OscillatorConfig, SimClock, SimRng};
 use mntp_repro::netsim::Testbed;
 use mntp_repro::ntp_wire::{NtpPacket, PACKET_LEN};
-use mntp_repro::ntpd_sim::daemon::{run_ntpd, NtpdConfig};
+use mntp_repro::mntp::{drive, DriverConfig};
+use mntp_repro::ntpd_sim::{NtpdConfig, NtpdDiscipline};
 use mntp_repro::sntp::{perform_exchange, PoolConfig, ServerPool};
 use mntp_repro::tuner::Trace;
 
@@ -86,8 +87,9 @@ fn ntpd_on_shared_substrate() {
         SimTime::ZERO,
         mntp_repro::ntp_wire::NtpDuration::from_millis(300),
     );
-    let run = run_ntpd(NtpdConfig::with_peers(vec![0, 1, 2, 3]), &mut tb, &mut pool, &mut clock, 3600);
-    assert!(run.steps >= 1, "initial 300 ms error must step");
+    let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(vec![0, 1, 2, 3]));
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &DriverConfig::span(3600, 1.0));
+    assert!(d.daemon().steps() >= 1, "initial 300 ms error must step");
     let final_err = run.true_error_ms.last().unwrap().1.abs();
     assert!(final_err < 30.0, "final error {final_err} ms");
 }

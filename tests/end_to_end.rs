@@ -3,7 +3,9 @@
 
 use mntp_repro::clocksim::time::SimTime;
 use mntp_repro::clocksim::{OscillatorConfig, SimClock, SimRng};
-use mntp_repro::mntp::{run_full, ApplyMode, MntpConfig, QueryOutcome};
+use mntp_repro::mntp::{
+    drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline, QueryOutcome,
+};
 use mntp_repro::netsim::testbed::TestbedConfig;
 use mntp_repro::netsim::Testbed;
 use mntp_repro::sntp::{PoolConfig, ServerPool};
@@ -29,7 +31,9 @@ fn full_mntp_disciplines_a_drifting_clock() {
         apply_mode: ApplyMode::Step,
         ..Default::default()
     };
-    let run = run_full(cfg, &mut tb, &mut pool, &mut clock, 2 * 3600, 1.0);
+    let mut d = MntpDiscipline::full(cfg);
+    let span = DriverConfig::span(2 * 3600, 1.0);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &span);
     // 40 ppm over 2 h = 288 ms if untouched.
     let late: Vec<f64> = run
         .true_error_ms
@@ -62,7 +66,8 @@ fn warmup_precedes_regular_phase() {
         reset_period_secs: 1e9,
         ..Default::default()
     };
-    let run = run_full(cfg, &mut tb, &mut pool, &mut clock, 1800, 1.0);
+    let mut d = MntpDiscipline::full(cfg);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &DriverConfig::span(1800, 1.0));
     let first_regular = run
         .records
         .iter()
@@ -90,7 +95,9 @@ fn whole_stack_determinism() {
         let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
         let mut pool = ServerPool::new(PoolConfig::default(), seed + 1);
         let mut clock = drifting_clock(20.0, seed + 2);
-        let run = run_full(MntpConfig::default(), &mut tb, &mut pool, &mut clock, 900, 1.0);
+        let mut d = MntpDiscipline::full(MntpConfig::default());
+        let span = DriverConfig::span(900, 1.0);
+        let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &span);
         run.records
             .iter()
             .map(|r| format!("{:.3}:{:?}", r.t_secs, r.outcome))
@@ -114,7 +121,8 @@ fn reset_period_triggers_new_warmup() {
         reset_period_secs: 900.0,
         ..Default::default()
     };
-    let run = run_full(cfg, &mut tb, &mut pool, &mut clock, 1800, 1.0);
+    let mut d = MntpDiscipline::full(cfg);
+    let run = drive(&mut d, &mut tb, &mut pool, &mut clock, None, &DriverConfig::span(1800, 1.0));
     let warmups_after_reset = run
         .records
         .iter()

@@ -9,10 +9,10 @@
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::{OscillatorConfig, SimClock, SimRng};
-use mntp::{ApplyMode, MntpConfig, RobustConfig};
+use mntp::{drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline, RobustConfig};
 use netsim::testbed::TestbedConfig;
 use netsim::{FaultInjector, FaultKind, FaultSchedule, ServerSet, Testbed};
-use sntp::{perform_exchange_faulted, PoolConfig, ServerPool};
+use sntp::{perform_exchange_with, PoolConfig, ServerPool};
 
 /// The outage window, seconds into the run.
 const OUTAGE: (f64, f64) = (1800.0, 3000.0);
@@ -47,16 +47,12 @@ fn mntp_outage_run(seed: u64) -> mntp::MntpRun {
         apply_mode: ApplyMode::Step,
         ..Default::default()
     };
-    mntp::run_full_faulted(
-        cfg,
-        RobustConfig::default(),
-        &mut tb,
-        &mut pool,
-        &mut clock,
-        &mut faults,
-        DURATION,
-        1.0,
-    )
+    let mut d = MntpDiscipline::hardened(cfg, &RobustConfig::default(), pool.len());
+    let dcfg = DriverConfig {
+        timeout: Some(SimDuration::from_secs_f64(1.0)),
+        ..DriverConfig::span(DURATION, 1.0)
+    };
+    drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg)
 }
 
 /// Naive SNTP through the same fault layer: poll every 5 s, step on
@@ -71,13 +67,14 @@ fn sntp_outage_errors(seed: u64) -> Vec<(f64, f64)> {
     for i in 0..=(DURATION / 5) {
         let t = SimTime::ZERO + SimDuration::from_secs((i * 5) as i64);
         let id = pool.pick();
-        if let Ok(done) = perform_exchange_faulted(
+        if let Ok(done) = perform_exchange_with(
             &mut tb,
             pool.server_mut(id),
             &mut clock,
             t,
-            &mut faults,
+            Some(&mut faults),
             timeout,
+            None,
         ) {
             clocksim::ClockCommand::Step(done.sample.offset).apply(&mut clock, t);
         }
