@@ -39,6 +39,7 @@
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::{ClockCommand, ClockControl, SimClock};
 use devtools::par::Pool;
+use devtools::sketch::percentile_nearest_rank;
 use netsim::chaos::{ClientChaosLatch, FleetFaultPlan, ServerChaosLatch};
 use netsim::fleet::{FleetNet, FleetShard};
 use ntp_wire::NtpDuration;
@@ -147,15 +148,6 @@ pub struct GroupSample {
     pub p99_ms: f64,
     /// Worst `|error|` across the group, ms.
     pub max_ms: f64,
-}
-
-/// Nearest-rank quantile of an ascending-sorted slice (0 when empty).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted.get(idx).or(sorted.last()).copied().unwrap_or(0.0)
 }
 
 /// One queued exchange of one client's round, moving through the tick's
@@ -581,8 +573,8 @@ fn run_fleet_impl(
                 vals.sort_by(|a, b| a.total_cmp(b));
                 let sample = GroupSample {
                     t_secs: t.as_secs_f64(),
-                    p50_ms: quantile(&vals, 0.50),
-                    p99_ms: quantile(&vals, 0.99),
+                    p50_ms: percentile_nearest_rank(&vals, 0.50),
+                    p99_ms: percentile_nearest_rank(&vals, 0.99),
                     max_ms: vals.last().copied().unwrap_or(0.0),
                 };
                 if let Some(series) = run.group_quantiles.get_mut(g) {

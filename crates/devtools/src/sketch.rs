@@ -34,11 +34,11 @@
 //! samples use *nearest-rank*: `percentile_nearest_rank(sorted, q)`
 //! returns `sorted[round(q * (n-1))]`. This is the single shared
 //! implementation behind `loganalysis::interarrival`,
-//! `experiments::fleet`, and [`crate::bench::Stats`]. (It lives here in
-//! `devtools` rather than `clocksim::stats` — which keeps its separate,
-//! linear-interpolated convention for the simulator tables — because the
-//! sketch query below quantises to the same convention in the exact
-//! regime.)
+//! `experiments::fleet`, `mntp::fleet`, and [`crate::bench::Stats`].
+//! (It lives here in `devtools` rather than `clocksim::stats` — which
+//! keeps its separate, linear-interpolated convention for the simulator
+//! tables — because the sketch query below quantises to the same
+//! convention in the exact regime.)
 
 /// Nearest-rank percentile over an already-sorted slice.
 ///

@@ -10,16 +10,13 @@
 //! [`ServerLog`], whether it came from the synthetic Table 1 generator
 //! or from a simulated fleet.
 //!
-//! Two incremental forms cover the streaming seam:
-//!
-//! - [`GapSink`] — exact: arrivals push in time order, gaps accumulate,
-//!   time-adjacent shards stitch their boundary gap on merge. The batch
-//!   [`global_interarrival`] is a thin adapter over it and stays
-//!   byte-identical.
-//! - [`GapSketch`] — constant memory: the same arrival/stitch protocol
-//!   feeding a [`QuantileSketch`] plus exact mean and sub-ms counters,
-//!   for the full-scale regime where holding 209M gaps is the thing
-//!   streaming exists to avoid.
+//! [`global_interarrival`] and [`per_client_interarrival`] are exact:
+//! they sort a whole log's arrival times and summarize every gap. The
+//! streaming form is [`GapSketch`]: arrivals push in time order,
+//! time-adjacent shards stitch their boundary gap on merge, and gaps
+//! feed a [`QuantileSketch`] plus exact mean and sub-ms counters, for
+//! the full-scale regime where holding 209M gaps is the thing streaming
+//! exists to avoid.
 
 use std::collections::BTreeMap;
 
@@ -63,72 +60,17 @@ fn summarize(mut gaps_ms: Vec<f64>) -> Option<InterarrivalSummary> {
     })
 }
 
-/// Exact incremental gap accumulator over a time-ordered arrival stream.
-///
-/// Shards covering adjacent time ranges merge with
-/// [`merge_adjacent`](GapSink::merge_adjacent), which synthesizes the
-/// gap spanning the shard boundary — so any chunking of one server's
-/// stream reproduces the unchunked gap sequence exactly.
-#[derive(Clone, Debug, Default)]
-pub struct GapSink {
-    gaps_ms: Vec<f64>,
-    first_at: Option<f64>,
-    last_at: Option<f64>,
+/// Consecutive gaps of an ascending time series, seconds in, ms out.
+fn consecutive_gaps_ms(sorted_secs: &[f64]) -> impl Iterator<Item = f64> + '_ {
+    sorted_secs.iter().zip(sorted_secs.iter().skip(1)).map(|(a, b)| (b - a) * 1e3)
 }
 
-impl GapSink {
-    /// Empty sink.
-    pub fn new() -> GapSink {
-        GapSink::default()
-    }
-
-    /// Record one arrival. Arrivals must be pushed in non-decreasing
-    /// time order for the gaps to mean anything.
-    pub fn push_arrival(&mut self, at_secs: f64) {
-        if let Some(prev) = self.last_at {
-            self.gaps_ms.push((at_secs - prev) * 1e3);
-        } else {
-            self.first_at = Some(at_secs);
-        }
-        self.last_at = Some(at_secs);
-    }
-
-    /// Append a shard covering the time range immediately after this
-    /// one, stitching the gap across the boundary.
-    pub fn merge_adjacent(&mut self, other: &GapSink) {
-        if let (Some(prev), Some(next)) = (self.last_at, other.first_at) {
-            self.gaps_ms.push((next - prev) * 1e3);
-        }
-        self.gaps_ms.extend_from_slice(&other.gaps_ms);
-        if self.first_at.is_none() {
-            self.first_at = other.first_at;
-        }
-        if other.last_at.is_some() {
-            self.last_at = other.last_at;
-        }
-    }
-
-    /// Number of gaps accumulated so far.
-    pub fn len(&self) -> usize {
-        self.gaps_ms.len()
-    }
-
-    /// True when no gap has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.gaps_ms.is_empty()
-    }
-
-    /// Distribution summary; `None` when fewer than two arrivals were
-    /// seen.
-    pub fn finish(self) -> Option<InterarrivalSummary> {
-        summarize(self.gaps_ms)
-    }
-}
-
-/// Constant-memory counterpart of [`GapSink`]: same arrival/stitch
-/// protocol, but gaps feed a [`QuantileSketch`] instead of a vector.
-/// Mean, count, and the sub-ms share stay exact; percentiles carry the
-/// sketch's rank-error bound.
+/// Constant-memory gap summary over a time-ordered arrival stream: gaps
+/// feed a [`QuantileSketch`] instead of a vector. Mean, count, and the
+/// sub-ms share stay exact; percentiles carry the sketch's rank-error
+/// bound. Shards covering adjacent time ranges stitch the gap spanning
+/// their boundary on [`merge_adjacent`](GapSketch::merge_adjacent), so
+/// any chunking of one server's stream sees the same gap count.
 #[derive(Clone, Debug)]
 pub struct GapSketch {
     sketch: QuantileSketch,
@@ -218,16 +160,11 @@ impl GapSketch {
 }
 
 /// Gaps between consecutive requests at the server, across all clients.
-/// `None` for logs with fewer than two records. (Adapter over
-/// [`GapSink`].)
+/// `None` for logs with fewer than two records.
 pub fn global_interarrival(log: &ServerLog) -> Option<InterarrivalSummary> {
     let mut times: Vec<f64> = log.records.iter().map(|r| r.received_at_secs).collect();
     times.sort_by(f64::total_cmp);
-    let mut sink = GapSink::new();
-    for t in times {
-        sink.push_arrival(t);
-    }
-    sink.finish()
+    summarize(consecutive_gaps_ms(&times).collect())
 }
 
 /// Gaps between consecutive requests of the *same* client — the
@@ -241,20 +178,9 @@ pub fn per_client_interarrival(log: &ServerLog) -> Option<InterarrivalSummary> {
     let mut gaps = Vec::new();
     for times in per_client.values_mut() {
         times.sort_by(f64::total_cmp);
-        gaps.extend(times.iter().zip(times.iter().skip(1)).map(|(a, b)| (b - a) * 1e3));
+        gaps.extend(consecutive_gaps_ms(times));
     }
     summarize(gaps)
-}
-
-/// Requests per second of capture time, for rate plots: `(second,
-/// count)` for every second that saw at least one request.
-pub fn arrival_rate_per_sec(log: &ServerLog) -> Vec<(u64, u64)> {
-    let mut buckets: BTreeMap<u64, u64> = BTreeMap::new();
-    for r in &log.records {
-        let sec = r.received_at_secs.max(0.0) as u64;
-        *buckets.entry(sec).or_insert(0) += 1;
-    }
-    buckets.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -278,19 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn rate_buckets_account_for_every_record() {
-        let log = sample_log();
-        let total: u64 = arrival_rate_per_sec(&log).iter().map(|(_, c)| c).sum();
-        assert_eq!(total, log.records.len() as u64);
-    }
-
-    #[test]
     fn empty_log_yields_none() {
         let mut log = sample_log();
         log.records.clear();
         assert!(global_interarrival(&log).is_none());
         assert!(per_client_interarrival(&log).is_none());
-        assert!(arrival_rate_per_sec(&log).is_empty());
     }
 
     #[test]
@@ -299,25 +217,6 @@ mod tests {
         let s = global_interarrival(&log).expect("records");
         assert!(s.p50_ms <= s.p90_ms && s.p90_ms <= s.p99_ms);
         assert!(s.sub_ms_share >= 0.0 && s.sub_ms_share <= 1.0);
-    }
-
-    #[test]
-    fn chunked_gap_sink_stitches_to_the_unchunked_sequence() {
-        let log = sample_log();
-        let mut times: Vec<f64> = log.records.iter().map(|r| r.received_at_secs).collect();
-        times.sort_by(f64::total_cmp);
-        let whole = global_interarrival(&log).expect("records");
-        // Split the ordered stream into 8 time-contiguous chunks and
-        // stitch: identical summary, including the boundary gaps.
-        let mut merged = GapSink::new();
-        for chunk in times.chunks(times.len().div_ceil(8)) {
-            let mut shard = GapSink::new();
-            for &t in chunk {
-                shard.push_arrival(t);
-            }
-            merged.merge_adjacent(&shard);
-        }
-        assert_eq!(merged.finish(), Some(whole));
     }
 
     #[test]
@@ -337,8 +236,7 @@ mod tests {
         assert_eq!(approx.gaps, exact.gaps);
         assert!((approx.mean_ms - exact.mean_ms).abs() < 1e-9);
         assert!((approx.sub_ms_share - exact.sub_ms_share).abs() < 1e-12);
-        let mut gaps: Vec<f64> =
-            times.iter().zip(times.iter().skip(1)).map(|(a, b)| (b - a) * 1e3).collect();
+        let mut gaps: Vec<f64> = consecutive_gaps_ms(&times).collect();
         gaps.sort_by(f64::total_cmp);
         let eps = sk.sketch.rank_error_bound() + 1.0 / gaps.len() as f64;
         for (q, got) in [(0.5, approx.p50_ms), (0.9, approx.p90_ms), (0.99, approx.p99_ms)] {

@@ -34,15 +34,22 @@
 //!   peak-error measurement over fleet error series: the ruler the chaos
 //!   experiments apply to each fault phase.
 //! * [`stream`] — the streaming seam: a one-pass, constant-memory
-//!   [`stream::ChunkSummary`] bundling all the incremental sinks, with
-//!   the deterministic (server, chunk)-ordered merge the full-scale
-//!   209M-record pipeline folds over (DESIGN.md §13).
+//!   [`stream::ChunkSummary`] bundling the constant-memory tallies and
+//!   sketches, with the deterministic (server, chunk)-ordered merge the
+//!   full-scale 209M-record pipeline folds over (DESIGN.md §13).
 //!
-//! Every analyzer exists in two forms: an incremental sink
-//! (`push`/`merge`/`finish`) and the original batch function, now a
-//! thin adapter over the sink and pinned byte-identical by tests. The
-//! generator side mirrors this: [`synth::stream_chunk`] produces the
-//! same population chunk-by-chunk with no whole-day materialization.
+//! Each analyzer has one form. The exact ones
+//! ([`protocol::classify_clients`], [`owd::extract_owds`],
+//! [`global_interarrival`]) are single loops over a whole [`ServerLog`]
+//! and feed Figure 1, Figure 2 and the fleet experiment. The streaming
+//! form is [`ChunkSummary`] alone: its parts ([`protocol::ShapeTally`],
+//! [`classify::ProviderTally`], [`GapSketch`] and the OWD quantile
+//! sketches) hold counters and fixed-size sketches, never per-client or
+//! per-gap state, and share the per-record decisions
+//! ([`owd::surviving_owd_ms`], [`classify::classify_hostname`]) with the
+//! exact analyzers. The generator side mirrors this:
+//! [`synth::stream_chunk`] produces the same population chunk-by-chunk
+//! with no whole-day materialization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +65,9 @@ pub mod report;
 pub mod stream;
 pub mod synth;
 
-pub use interarrival::{arrival_rate_per_sec, global_interarrival, per_client_interarrival, GapSink, GapSketch, InterarrivalSummary};
+pub use interarrival::{
+    global_interarrival, per_client_interarrival, GapSketch, InterarrivalSummary,
+};
 pub use model::{ProviderCategory, ProviderProfile, ServerProfile, PROVIDERS, SERVERS};
 pub use recovery::{peak_error, time_to_reconvergence, RecoveryConfig};
 pub use report::{figure1, figure2, generate_all_logs, table1, Figure1Row, Figure2Row, Table1Row};

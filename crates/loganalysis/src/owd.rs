@@ -17,11 +17,10 @@
 //!    are discarded; a client whose surviving samples still straddle an
 //!    implausible range is dropped entirely.
 //!
-//! The per-record decision lives in [`surviving_owd_ms`] — one zero-copy
-//! parse, filter, and out — and both consumers ride on it: the exact
-//! per-client [`OwdSink`] (batch adapter: [`extract_owds`], pinned
-//! byte-identical) and the full-scale pipeline's constant-memory
-//! quantile sketches.
+//! The per-record decision lives in [`surviving_owd_ms`], which takes an
+//! already-parsed request so each record is parsed once. Both consumers
+//! ride on it: the exact per-client [`extract_owds`] behind Figure 1, and
+//! the full-scale pipeline's constant-memory quantile sketches.
 //!
 //! Ground-truth validation (the generator knows every client's true
 //! clock error) lives in the tests: the filter must keep most
@@ -74,18 +73,11 @@ fn has_sync_evidence(p: &ntp_wire::PacketView<'_>, filter: &OwdFilter) -> bool {
     age >= 0.0 && age <= filter.max_ref_age_secs
 }
 
-/// The whole per-record pipeline: parse (zero-copy), compute the raw
-/// OWD, and apply the Durairajan filter. Returns the surviving OWD in
-/// ms, or `None` when the record is discarded (malformed or filtered).
-pub fn surviving_owd_ms(record: &LogRecord, filter: &OwdFilter) -> Option<f64> {
-    let p = NtpPacket::parse_ref(&record.request).ok()?;
-    surviving_owd_ms_view(&p, record.received_at_secs, filter)
-}
-
-/// [`surviving_owd_ms`] on an already-parsed view — the hot-path entry
-/// for composite sinks that parse each request exactly once and feed
-/// several analyzers from the same view.
-pub fn surviving_owd_ms_view(
+/// The per-record filter: compute the raw OWD of an already-parsed
+/// request received at `received_at_secs` and apply the Durairajan
+/// filter. Returns the surviving OWD in ms, or `None` when the record is
+/// discarded.
+pub fn surviving_owd_ms(
     p: &ntp_wire::PacketView<'_>,
     received_at_secs: f64,
     filter: &OwdFilter,
@@ -122,56 +114,22 @@ impl ClientOwds {
     }
 }
 
-/// Exact per-client OWD extraction, incrementally: `push` records in
-/// time order, `merge` shards (sample vectors concatenate, so shards
-/// must cover disjoint time ranges merged in time order to reproduce
-/// the batch path exactly), `finish` for the per-client map.
-#[derive(Clone, Debug, Default)]
-pub struct OwdSink {
-    clients: BTreeMap<u32, ClientOwds>,
-}
-
-impl OwdSink {
-    /// Empty sink.
-    pub fn new() -> OwdSink {
-        OwdSink::default()
-    }
-
-    /// Filter one record into the sink.
-    pub fn push(&mut self, record: &LogRecord, filter: &OwdFilter) {
-        let entry = self.clients.entry(record.client_id).or_default();
+/// Extract filtered per-client OWDs from a log, each client's samples
+/// in log order.
+pub fn extract_owds(log: &ServerLog, filter: &OwdFilter) -> BTreeMap<u32, ClientOwds> {
+    let mut clients: BTreeMap<u32, ClientOwds> = BTreeMap::new();
+    for r in &log.records {
+        let entry = clients.entry(r.client_id).or_default();
         entry.seen += 1;
-        match surviving_owd_ms(record, filter) {
+        let owd = NtpPacket::parse_ref(&r.request)
+            .ok()
+            .and_then(|p| surviving_owd_ms(&p, r.received_at_secs, filter));
+        match owd {
             Some(owd) => entry.samples_ms.push(owd),
             None => entry.discarded += 1,
         }
     }
-
-    /// Fold another sink in, appending its per-client samples after this
-    /// one's (in-order merge of time-contiguous shards).
-    pub fn merge(&mut self, other: &OwdSink) {
-        for (id, c) in &other.clients {
-            let entry = self.clients.entry(*id).or_default();
-            entry.seen += c.seen;
-            entry.discarded += c.discarded;
-            entry.samples_ms.extend_from_slice(&c.samples_ms);
-        }
-    }
-
-    /// The per-client map.
-    pub fn finish(self) -> BTreeMap<u32, ClientOwds> {
-        self.clients
-    }
-}
-
-/// Extract filtered per-client OWDs from a log. (Adapter over
-/// [`OwdSink`].)
-pub fn extract_owds(log: &ServerLog, filter: &OwdFilter) -> BTreeMap<u32, ClientOwds> {
-    let mut sink = OwdSink::new();
-    for r in &log.records {
-        sink.push(r, filter);
-    }
-    sink.finish()
+    clients
 }
 
 #[cfg(test)]
@@ -219,29 +177,6 @@ mod tests {
             }
         }
         assert!(checked > 5, "checked={checked}");
-    }
-
-    #[test]
-    fn sharded_sink_merge_equals_single_pass() {
-        let log = log();
-        let filter = OwdFilter::default();
-        let whole = extract_owds(&log, &filter);
-        // Time-contiguous shards merged in order: byte-identical result.
-        let mid = log.records.len() / 2;
-        let mut a = OwdSink::new();
-        let mut b = OwdSink::new();
-        for (i, r) in log.records.iter().enumerate() {
-            if i < mid { a.push(r, &filter) } else { b.push(r, &filter) }
-        }
-        a.merge(&b);
-        let merged = a.finish();
-        assert_eq!(whole.len(), merged.len());
-        for (id, c) in &whole {
-            let m = &merged[id];
-            assert_eq!(c.seen, m.seen);
-            assert_eq!(c.discarded, m.discarded);
-            assert_eq!(c.samples_ms, m.samples_ms);
-        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! extractor understand. Together with `netsim::pcap::PcapWriter` the
 //! loop closes: simulate → capture → re-analyze with the same tools.
 //!
-//! The core reader is the streaming [`NtpPacketIter`]: one datagram per
+//! The reader is the streaming [`NtpPacketIter`]: one datagram per
 //! `next()`, no whole-capture materialization, so arbitrarily large
-//! captures analyze in constant memory. [`read_ntp_packets`] is the
-//! collecting adapter for callers that want the old `Vec` API.
+//! captures analyze in constant memory. Callers that want a `Vec`
+//! collect it; [`streamed_sntp_request_share`] folds it in one pass.
 
 use ntp_wire::NtpPacket;
 
@@ -99,7 +99,8 @@ impl Iterator for NtpPacketIter<'_> {
 }
 
 /// Validate a libpcap header and return the streaming [`NtpPacketIter`]
-/// over its records.
+/// over its UDP datagrams on port 123 (either direction) that carry a
+/// parseable NTP packet.
 pub fn iter_ntp_packets(data: &[u8]) -> Result<NtpPacketIter<'_>, PcapError> {
     if data.len() < 24 || u32le(data, 0) != Some(0xa1b2_c3d4) {
         return Err(PcapError::BadHeader);
@@ -109,13 +110,6 @@ pub fn iter_ntp_packets(data: &[u8]) -> Result<NtpPacketIter<'_>, PcapError> {
         Some(lt) => Err(PcapError::UnsupportedLinkType(lt)),
         None => Err(PcapError::BadHeader),
     }
-}
-
-/// Parse a libpcap byte stream, returning every UDP datagram on port 123
-/// (either direction) that carries a parseable NTP packet. (Collecting
-/// adapter over [`iter_ntp_packets`].)
-pub fn read_ntp_packets(data: &[u8]) -> Result<Vec<CapturedNtp>, PcapError> {
-    iter_ntp_packets(data)?.collect()
 }
 
 fn decode_frame(at_secs: f64, frame: &[u8]) -> Option<CapturedNtp> {
@@ -130,6 +124,9 @@ fn decode_frame(at_secs: f64, frame: &[u8]) -> Option<CapturedNtp> {
         return None;
     }
     let ihl = ((v_ihl & 0x0F) as usize) * 4;
+    if ihl < 20 {
+        return None; // shorter than the fixed IPv4 header
+    }
     if *ip.get(9)? != 17 {
         return None; // not UDP
     }
@@ -147,14 +144,9 @@ fn decode_frame(at_secs: f64, frame: &[u8]) -> Option<CapturedNtp> {
 }
 
 /// Share of captured *client requests* that are SNTP-shaped — the
-/// §3.1 protocol statistic, straight from a capture.
-pub fn sntp_request_share(packets: &[CapturedNtp]) -> f64 {
-    streamed_sntp_request_share(packets.iter().cloned().map(Ok)).unwrap_or(0.0)
-}
-
-/// The same statistic computed in one constant-memory pass over a
-/// streaming packet source (e.g. [`NtpPacketIter`]): only two counters
-/// are held, never the packets.
+/// §3.1 protocol statistic, straight from a capture — computed in one
+/// constant-memory pass over a streaming packet source (e.g.
+/// [`NtpPacketIter`]): only two counters are held, never the packets.
 pub fn streamed_sntp_request_share<I>(packets: I) -> Result<f64, PcapError>
 where
     I: IntoIterator<Item = Result<CapturedNtp, PcapError>>,
@@ -180,6 +172,11 @@ mod tests {
     use netsim::pcap::{Endpoint, PcapWriter};
     use ntp_wire::{sntp_profile, NtpTimestamp};
 
+    /// Every NTP datagram of a capture, collected.
+    fn collect_packets(bytes: &[u8]) -> Result<Vec<CapturedNtp>, PcapError> {
+        iter_ntp_packets(bytes)?.collect()
+    }
+
     fn capture_with(n_sntp: usize, n_ntp: usize) -> Vec<u8> {
         let client = Endpoint::of([10, 0, 0, 2], 40_000);
         let server = Endpoint::of([203, 0, 113, 1], 123);
@@ -202,7 +199,7 @@ mod tests {
     #[test]
     fn roundtrip_through_writer_and_reader() {
         let bytes = capture_with(3, 2);
-        let packets = read_ntp_packets(&bytes).unwrap();
+        let packets = collect_packets(&bytes).unwrap();
         assert_eq!(packets.len(), 5);
         assert_eq!(packets[0].dst_ip, [203, 0, 113, 1]);
         assert_eq!(packets[0].src_port, 40_000);
@@ -216,36 +213,19 @@ mod tests {
         let bytes = capture_with(8, 2);
         let share = streamed_sntp_request_share(iter_ntp_packets(&bytes).unwrap()).unwrap();
         assert!((share - 0.8).abs() < 1e-9, "share {share}");
-        // The batch adapter agrees.
-        let packets = read_ntp_packets(&bytes).unwrap();
-        assert!((sntp_request_share(&packets) - share).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streaming_iterator_matches_batch_reader() {
-        let bytes = capture_with(5, 3);
-        let batch = read_ntp_packets(&bytes).unwrap();
-        let streamed: Vec<CapturedNtp> =
-            iter_ntp_packets(&bytes).unwrap().collect::<Result<_, _>>().unwrap();
-        assert_eq!(batch.len(), streamed.len());
-        for (a, b) in batch.iter().zip(&streamed) {
-            assert_eq!(a.at_secs, b.at_secs);
-            assert_eq!(a.src_ip, b.src_ip);
-            assert_eq!(a.packet.serialize(), b.packet.serialize());
-        }
     }
 
     #[test]
     fn garbage_rejected() {
-        assert_eq!(read_ntp_packets(&[]).unwrap_err(), PcapError::BadHeader);
-        assert_eq!(read_ntp_packets(&[0u8; 30]).unwrap_err(), PcapError::BadHeader);
+        assert_eq!(collect_packets(&[]).unwrap_err(), PcapError::BadHeader);
+        assert_eq!(collect_packets(&[0u8; 30]).unwrap_err(), PcapError::BadHeader);
     }
 
     #[test]
     fn truncated_record_detected() {
         let mut bytes = capture_with(1, 0);
         bytes.truncate(bytes.len() - 10);
-        assert_eq!(read_ntp_packets(&bytes).unwrap_err(), PcapError::Truncated);
+        assert_eq!(collect_packets(&bytes).unwrap_err(), PcapError::Truncated);
         // The streaming iterator reports the truncation once, then fuses.
         let mut it = iter_ntp_packets(&bytes).unwrap();
         assert!(matches!(it.next(), Some(Err(PcapError::Truncated))));
@@ -261,8 +241,26 @@ mod tests {
         let req = sntp_profile::client_request(NtpTimestamp::from_parts(1, 0));
         w.record_udp(SimTime::from_secs(2), a, Endpoint::of([203, 0, 113, 1], 123), &req.serialize())
             .unwrap();
-        let packets = read_ntp_packets(&w.finish().unwrap()).unwrap();
+        let packets = collect_packets(&w.finish().unwrap()).unwrap();
         assert_eq!(packets.len(), 1);
+    }
+
+    #[test]
+    fn ipv4_header_shorter_than_20_bytes_is_rejected() {
+        // IHL 4 (16 bytes): a reader trusting it would take the UDP
+        // ports from the destination address 0.200.0.123 (200 -> 123)
+        // and parse the NTP request at IP offset 24.
+        let mut frame = vec![0u8; 14];
+        frame[12..14].copy_from_slice(&[0x08, 0x00]);
+        let mut ip = vec![0u8; 24];
+        ip[0] = 0x44;
+        ip[9] = 17;
+        ip[12..16].copy_from_slice(&[10, 0, 0, 2]);
+        ip[16..20].copy_from_slice(&[0, 200, 0, 123]);
+        frame.extend_from_slice(&ip);
+        let req = sntp_profile::client_request(NtpTimestamp::from_parts(1, 0));
+        frame.extend_from_slice(&req.serialize());
+        assert!(decode_frame(1.0, &frame).is_none());
     }
 
     #[test]
@@ -291,10 +289,12 @@ mod tests {
                 w.record_udp(pkt.at, s, d, &pkt.bytes).unwrap();
             }
         }
-        let packets = read_ntp_packets(&w.finish().unwrap()).unwrap();
+        let bytes = w.finish().unwrap();
+        let packets = collect_packets(&bytes).unwrap();
         assert!(packets.len() >= 38, "captured {}", packets.len());
         // All requests in this run are SNTP-shaped.
-        assert!((sntp_request_share(&packets) - 1.0).abs() < 1e-9);
+        let share = streamed_sntp_request_share(iter_ntp_packets(&bytes).unwrap()).unwrap();
+        assert!((share - 1.0).abs() < 1e-9);
         // Replies carry server stratum.
         assert!(packets
             .iter()

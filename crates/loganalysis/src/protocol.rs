@@ -8,12 +8,11 @@
 //! legitimately flips implementations mid-capture, but captures can hold
 //! corrupt packets).
 //!
-//! Two sinks implement the heuristic incrementally (`push` a record at a
-//! time, `merge` partial results, `finish` once at the end):
+//! The heuristic feeds two different statistics:
 //!
-//! - [`ProtocolSink`] — exact per-client majority vote; memory grows
-//!   with the client population. The batch API ([`classify_clients`],
-//!   [`sntp_share`]) is a thin adapter over it and stays byte-identical.
+//! - [`classify_clients`] — exact per-client majority vote over a whole
+//!   [`ServerLog`]; memory grows with the client population. Figure 2
+//!   and the fleet experiment read it.
 //! - [`ShapeTally`] — request-level counts only: constant memory, used
 //!   by the full-scale pipeline where per-client state for 15M clients
 //!   is exactly what streaming is meant to avoid. Carries the
@@ -24,7 +23,7 @@ use std::collections::BTreeMap;
 
 use ntp_wire::NtpPacket;
 
-use crate::synth::{LogRecord, ServerLog};
+use crate::synth::ServerLog;
 
 /// Protocol verdict for a client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,50 +40,6 @@ pub fn classify_packet(packet: &NtpPacket) -> Protocol {
         Protocol::Sntp
     } else {
         Protocol::Ntp
-    }
-}
-
-/// Exact per-client protocol classification, incrementally.
-#[derive(Clone, Debug, Default)]
-pub struct ProtocolSink {
-    votes: BTreeMap<u32, (u32, u32)>,
-}
-
-impl ProtocolSink {
-    /// Empty sink.
-    pub fn new() -> ProtocolSink {
-        ProtocolSink::default()
-    }
-
-    /// Vote one record. Unparseable requests are ignored, as in the
-    /// batch path.
-    pub fn push(&mut self, record: &LogRecord) {
-        if let Ok(p) = NtpPacket::parse(&record.request) {
-            let e = self.votes.entry(record.client_id).or_insert((0, 0));
-            match classify_packet(&p) {
-                Protocol::Sntp => e.0 += 1,
-                Protocol::Ntp => e.1 += 1,
-            }
-        }
-    }
-
-    /// Fold another sink in (vote counts add; client order is a BTreeMap
-    /// so merge order cannot change the result).
-    pub fn merge(&mut self, other: &ProtocolSink) {
-        for (id, (s, n)) in &other.votes {
-            let e = self.votes.entry(*id).or_insert((0, 0));
-            e.0 += s;
-            e.1 += n;
-        }
-    }
-
-    /// Majority verdict per client (ties go to SNTP, matching the batch
-    /// path's historical behaviour).
-    pub fn finish(self) -> BTreeMap<u32, Protocol> {
-        self.votes
-            .into_iter()
-            .map(|(id, (s, n))| (id, if s >= n { Protocol::Sntp } else { Protocol::Ntp }))
-            .collect()
     }
 }
 
@@ -110,17 +65,12 @@ impl ShapeTally {
         ShapeTally::default()
     }
 
-    /// Tally one record's shape against its ground truth. Returns the
-    /// verdict (`None` for malformed requests) so callers can key
-    /// further sinks off it.
-    pub fn push(&mut self, record: &LogRecord) -> Option<Protocol> {
-        self.push_view(NtpPacket::parse_ref(&record.request).ok().as_ref(), record.true_sntp)
-    }
-
-    /// [`push`](ShapeTally::push) on an already-parsed view (`None` =
-    /// the request did not parse) — the hot-path entry for composite
-    /// sinks that parse each request exactly once.
-    pub fn push_view(
+    /// Tally one request's shape against its ground truth. `view` is
+    /// the request's zero-copy parse (`None` = it did not parse), so a
+    /// composite sink parses each request once and feeds several
+    /// analyzers from it. Returns the verdict (`None` for malformed
+    /// requests) so callers can key further sinks off it.
+    pub fn push(
         &mut self,
         view: Option<&ntp_wire::PacketView<'_>>,
         true_sntp: bool,
@@ -179,14 +129,23 @@ impl ShapeTally {
     }
 }
 
-/// Classify every client in a log by majority vote over its requests.
-/// Unparseable requests are ignored. (Adapter over [`ProtocolSink`].)
+/// Classify every client in a log by majority vote over its requests
+/// (ties go to SNTP). Unparseable requests are ignored.
 pub fn classify_clients(log: &ServerLog) -> BTreeMap<u32, Protocol> {
-    let mut sink = ProtocolSink::new();
+    let mut votes: BTreeMap<u32, (u32, u32)> = BTreeMap::new();
     for r in &log.records {
-        sink.push(r);
+        if let Ok(p) = NtpPacket::parse(&r.request) {
+            let e = votes.entry(r.client_id).or_insert((0, 0));
+            match classify_packet(&p) {
+                Protocol::Sntp => e.0 += 1,
+                Protocol::Ntp => e.1 += 1,
+            }
+        }
     }
-    sink.finish()
+    votes
+        .into_iter()
+        .map(|(id, (s, n))| (id, if s >= n { Protocol::Sntp } else { Protocol::Ntp }))
+        .collect()
 }
 
 /// Fraction of a log's clients classified as SNTP.
@@ -221,23 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sink_merge_equals_single_pass() {
-        let ag1 = SERVERS.iter().find(|s| s.id == "AG1").unwrap();
-        let log = generate_server_log(ag1, &cfg(), 9);
-        let mut shards: Vec<ProtocolSink> = (0..4).map(|_| ProtocolSink::new()).collect();
-        for (i, r) in log.records.iter().enumerate() {
-            if let Some(s) = shards.get_mut(i % 4) {
-                s.push(r);
-            }
-        }
-        let mut merged = ProtocolSink::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.finish(), classify_clients(&log));
-    }
-
-    #[test]
     fn shape_tally_is_accurate_and_merge_invariant() {
         let ag1 = SERVERS.iter().find(|s| s.id == "AG1").unwrap();
         let log = generate_server_log(ag1, &cfg(), 10);
@@ -245,8 +187,10 @@ mod tests {
         let mut a = ShapeTally::new();
         let mut b = ShapeTally::new();
         for (i, r) in log.records.iter().enumerate() {
-            whole.push(r);
-            if i % 2 == 0 { a.push(r); } else { b.push(r); }
+            let view = NtpPacket::parse_ref(&r.request).ok();
+            whole.push(view.as_ref(), r.true_sntp);
+            let half = if i % 2 == 0 { &mut a } else { &mut b };
+            half.push(view.as_ref(), r.true_sntp);
         }
         a.merge(&b);
         assert_eq!(whole.sntp, a.sntp);

@@ -1,10 +1,12 @@
 //! Assemble the paper's §3.1 artifacts: Table 1, Figure 1, Figure 2.
 
+use std::collections::BTreeSet;
+
 use clocksim::stats::{ecdf, Summary};
 
 use crate::classify::{classify_hostname, HostClass};
 use crate::model::{ServerProfile, PROVIDERS, SERVERS};
-use crate::owd::{extract_owds, OwdFilter};
+use crate::owd::{extract_owds, ClientOwds, OwdFilter};
 use crate::protocol::{classify_clients, Protocol};
 use crate::synth::{generate_server_log, ServerLog, SynthConfig};
 
@@ -39,6 +41,20 @@ pub fn table1(logs: &[ServerLog]) -> Vec<Table1Row> {
         .collect()
 }
 
+/// Each client with its provider index by the hostname heuristic, in
+/// order of first appearance (first record wins; hostnames are stable
+/// per client). Clients the heuristic places in no provider are
+/// skipped.
+fn client_providers(log: &ServerLog) -> impl Iterator<Item = (u32, usize)> + '_ {
+    let mut seen = BTreeSet::new();
+    log.records.iter().filter(move |r| seen.insert(r.client_id)).filter_map(|r| {
+        match classify_hostname(&r.hostname) {
+            HostClass::Provider(p) => Some((r.client_id, p)),
+            _ => None,
+        }
+    })
+}
+
 /// One provider's min-OWD distribution at one server (Figure 1).
 #[derive(Clone, Debug)]
 pub struct Figure1Row {
@@ -59,21 +75,11 @@ pub struct Figure1Row {
 /// provider's per-client minimum OWD.
 pub fn figure1(log: &ServerLog, filter: &OwdFilter) -> Vec<Figure1Row> {
     let owds = extract_owds(log, filter);
-    // client -> provider via the hostname heuristic (first record wins;
-    // hostnames are stable per client).
     let mut per_provider: Vec<Vec<f64>> = vec![Vec::new(); PROVIDERS.len()];
-    let mut seen: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for r in &log.records {
-        if !seen.insert(r.client_id) {
-            continue;
-        }
-        let HostClass::Provider(p) = classify_hostname(&r.hostname) else {
-            continue;
-        };
-        if let (Some(bucket), Some(c)) = (per_provider.get_mut(p), owds.get(&r.client_id)) {
-            if let Some(min) = c.min_owd_ms() {
-                bucket.push(min);
-            }
+    for (client, p) in client_providers(log) {
+        let min = owds.get(&client).and_then(ClientOwds::min_owd_ms);
+        if let (Some(bucket), Some(min)) = (per_provider.get_mut(p), min) {
+            bucket.push(min);
         }
     }
     per_provider
@@ -120,21 +126,13 @@ pub fn figure2(logs: &[ServerLog]) -> Vec<Figure2Row> {
 pub fn figure2_providers(log: &ServerLog) -> Vec<(&'static str, f64, usize)> {
     let classes = classify_clients(log);
     let mut counts: Vec<(u32, u32)> = vec![(0, 0); PROVIDERS.len()];
-    let mut seen: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    for r in &log.records {
-        if !seen.insert(r.client_id) {
-            continue;
-        }
-        let HostClass::Provider(p) = classify_hostname(&r.hostname) else {
+    for (client, p) in client_providers(log) {
+        let (Some(tally), Some(protocol)) = (counts.get_mut(p), classes.get(&client)) else {
             continue;
         };
-        let Some(tally) = counts.get_mut(p) else {
-            continue;
-        };
-        match classes.get(&r.client_id) {
-            Some(Protocol::Sntp) => tally.0 += 1,
-            Some(Protocol::Ntp) => tally.1 += 1,
-            None => {}
+        match protocol {
+            Protocol::Sntp => tally.0 += 1,
+            Protocol::Ntp => tally.1 += 1,
         }
     }
     counts

@@ -32,7 +32,7 @@ use devtools::sketch::QuantileSketch;
 use crate::classify::{HostClass, ProviderTally, CATEGORY_ORDER};
 use crate::interarrival::GapSketch;
 use crate::model::PROVIDERS;
-use crate::owd::{surviving_owd_ms_view, OwdFilter};
+use crate::owd::{surviving_owd_ms, OwdFilter};
 use crate::protocol::ShapeTally;
 use crate::synth::LogRecord;
 
@@ -91,12 +91,10 @@ impl ChunkSummary {
         // One zero-copy parse feeds both the shape tally and the OWD
         // filter — at 209M records the second parse is measurable.
         let view = ntp_wire::NtpPacket::parse_ref(&record.request).ok();
-        self.shapes.push_view(view.as_ref(), record.true_sntp);
+        self.shapes.push(view.as_ref(), record.true_sntp);
         let class = self.providers.push(record);
         self.gaps.push_arrival(record.received_at_secs);
-        let owd = view
-            .as_ref()
-            .and_then(|p| surviving_owd_ms_view(p, record.received_at_secs, filter));
+        let owd = view.as_ref().and_then(|p| surviving_owd_ms(p, record.received_at_secs, filter));
         match owd {
             Some(owd) => {
                 self.owd_kept += 1;
@@ -176,7 +174,9 @@ impl ChunkSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interarrival::global_interarrival;
     use crate::model::SERVERS;
+    use crate::owd::extract_owds;
     use crate::protocol::classify_clients;
     use crate::synth::{generate_server_log, ServerLog, SynthConfig};
 
@@ -196,28 +196,39 @@ mod tests {
 
     #[test]
     fn composite_counters_agree_with_batch_analyzers() {
-        let log = log();
-        let s = summarize_whole(&log);
-        assert_eq!(s.records, log.records.len() as u64);
-        assert_eq!(s.shapes.classified(), log.records.len() as u64);
-        // Same request stream ⇒ vote totals match the exact per-client
-        // classifier's input.
-        let classes = classify_clients(&log);
-        assert_eq!(classes.len() as u64, {
-            // every client voted at least once
+        // AG1 over a day, and a dense 10-minute AG1 window: the day-long
+        // logs have no sub-ms gaps, this one does. The first four
+        // Table 1 servers are held to the same exact statistics in
+        // `tests/streaming_equivalence.rs`.
+        let dense_cfg = SynthConfig { scale: 1_000, duration_secs: 600 };
+        let dense = generate_server_log(&SERVERS[0], &dense_cfg, 7);
+        for log in [log(), dense] {
+            let id = log.server.id;
+            let s = summarize_whole(&log);
+            assert_eq!(s.records, log.records.len() as u64);
+            assert_eq!(s.shapes.classified(), log.records.len() as u64);
+            // Same request stream ⇒ every client voted at least once in
+            // the exact per-client classifier.
             let mut ids: Vec<u32> = log.records.iter().map(|r| r.client_id).collect();
             ids.sort_unstable();
             ids.dedup();
-            ids.len() as u64
-        });
-        // Gap count: n records in time order ⇒ n-1 gaps.
-        assert_eq!(s.gaps.gaps(), log.records.len() as u64 - 1);
-        // OWD accounting adds up.
-        assert_eq!(s.owd_kept + s.owd_discarded, s.records);
-        let owds = crate::owd::extract_owds(&log, &OwdFilter::default());
-        let kept: usize = owds.values().map(|c| c.samples_ms.len()).sum();
-        assert_eq!(s.owd_kept as usize, kept);
-        assert_eq!(s.owd_all.count() as usize, kept);
+            assert_eq!(classify_clients(&log).len(), ids.len(), "server {id}");
+            // OWD accounting adds up, and the filter keeps the same
+            // samples as the exact per-client extractor.
+            assert_eq!(s.owd_kept + s.owd_discarded, s.records);
+            let owds = extract_owds(&log, &OwdFilter::default());
+            let kept: usize = owds.values().map(|c| c.samples_ms.len()).sum();
+            assert_eq!(s.owd_kept as usize, kept, "server {id}");
+            assert_eq!(s.owd_all.count() as usize, kept);
+            // n records in time order ⇒ n-1 gaps; count, mean and sub-ms
+            // share match the exact inter-arrival summary.
+            assert_eq!(s.gaps.gaps(), log.records.len() as u64 - 1);
+            let exact = global_interarrival(&log).expect("two or more records");
+            let sketched = s.gaps.finish().expect("gaps");
+            assert_eq!(exact.gaps, sketched.gaps, "server {id}");
+            assert!((exact.mean_ms - sketched.mean_ms).abs() < 1e-6, "server {id}");
+            assert!((exact.sub_ms_share - sketched.sub_ms_share).abs() < 1e-12, "server {id}");
+        }
     }
 
     #[test]

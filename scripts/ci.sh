@@ -58,7 +58,7 @@ echo "== servers: ServerCore, SimServer and ServerModel agree on RATE; (shards, 
 cargo test -q --release --offline --test server_core_equivalence
 cargo test -q --release --offline --test parallel_equivalence servercore
 
-echo "== streaming sinks reproduce the batch analyzers exactly =="
+echo "== streaming summary agrees with the exact analyzers =="
 cargo test -q --release --offline --test streaming_equivalence
 
 echo "== full-scale pipeline is (shards, jobs)-invariant =="
