@@ -54,6 +54,25 @@ pub fn percentile_nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted.get(idx).copied().unwrap_or(0.0)
 }
 
+/// Sort `xs` into [`f64::total_cmp`] order, bit for bit, by sorting
+/// order-preserving `i64` keys instead, which is faster than a comparator
+/// sort over floats. Ties are bit-identical values, so the unstable
+/// integer sort yields the one sorted array. `collect` between
+/// equal-sized element types runs in place, so both conversions reuse
+/// the vector's allocation.
+pub fn sort_total_order(xs: Vec<f64>) -> Vec<f64> {
+    let mut keys: Vec<i64> = xs.into_iter().map(|x| flip_negative(x.to_bits() as i64)).collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| f64::from_bits(flip_negative(k) as u64)).collect()
+}
+
+/// `total_cmp`'s key map: flip a negative value's magnitude bits so that
+/// larger magnitudes sort lower. It keeps the sign bit, so it is its own
+/// inverse.
+fn flip_negative(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Exact streaming count / sum / min / max. Mean is `sum / count`.
 ///
 /// Floating-point addition is not associative, so the pipeline's
@@ -243,12 +262,7 @@ impl QuantileSketch {
     }
 
     fn spill_base(&mut self) {
-        let mut buf = std::mem::take(&mut self.base);
-        // Unstable sort is safe for determinism: `total_cmp` is a total
-        // order whose ties are bit-identical values, so any permutation
-        // sorts to the same array — and it skips the stable sort's
-        // scratch allocation on the hot spill path.
-        buf.sort_unstable_by(|a, b| a.total_cmp(b));
+        let buf = sort_total_order(std::mem::take(&mut self.base));
         // A full staging buffer has weight-1 values; pairwise compaction
         // with another weight-1 buffer happens inside `insert_level`.
         self.insert_level_weight1(buf);
@@ -286,29 +300,41 @@ impl QuantileSketch {
     }
 
     /// Merge two sorted `k`-value buffers and keep every other survivor,
-    /// alternating the starting offset per level.
+    /// alternating the starting offset per level. One pass: the merged
+    /// sequence is never materialized, only its survivors.
     fn compact(&mut self, a: Vec<f64>, b: Vec<f64>, flip_slot: usize) -> Vec<f64> {
         if self.flips.len() <= flip_slot {
             self.flips.resize(flip_slot + 1, false);
         }
-        let offset = usize::from(self.flips.get(flip_slot).copied().unwrap_or(false));
+        let offset = self.flips.get(flip_slot).copied().unwrap_or(false);
         if let Some(f) = self.flips.get_mut(flip_slot) {
             *f = !*f;
         }
-        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let mut out = Vec::with_capacity((a.len() + b.len()).div_ceil(2));
+        // Merged position `m` survives when `m % 2 == offset`.
+        let mut keep = !offset;
         let (mut i, mut j) = (0, 0);
-        while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-            if x.total_cmp(&y).is_le() {
-                merged.push(x);
-                i += 1;
-            } else {
-                merged.push(y);
-                j += 1;
+        loop {
+            let x = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x.total_cmp(&y).is_le() => {
+                    i += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, None) => return out,
+            };
+            if keep {
+                out.push(x);
             }
+            keep = !keep;
         }
-        merged.extend_from_slice(a.get(i..).unwrap_or(&[]));
-        merged.extend_from_slice(b.get(j..).unwrap_or(&[]));
-        merged.into_iter().skip(offset).step_by(2).collect()
     }
 
     /// Number of samples folded in.
@@ -567,6 +593,89 @@ mod tests {
         // ~log2(1e6/64) = 14 levels of 64 f64s — tens of KiB, not MiBs.
         assert!(sk.state_bytes() < 64 * 1024, "state {}", sk.state_bytes());
         assert!(sk.rank_error_bound() < 0.2);
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn integer_key_sort_matches_total_cmp_bit_for_bit() {
+        let mut rng = SimRng::new(0x50E7);
+        let mut xs: Vec<f64> = (0..2_000).map(|_| rng.normal(0.0, 1e3)).collect();
+        // Arbitrary bit patterns: NaNs, subnormals and extremes of both signs.
+        xs.extend((0..500).map(|_| f64::from_bits(rng.next_u64())));
+        xs.extend([
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(1 << 63 | 1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0x7FF4_0000_0000_00AB),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            f64::from_bits(0xFFFF_FFFF_FFFF_FFFF),
+        ]);
+        // Ties.
+        xs.extend_from_within(..300);
+        rng.shuffle(&mut xs);
+        for n in [0, 1, 2, 256, xs.len()] {
+            let input = xs.get(xs.len() - n..).unwrap_or(&[]).to_vec();
+            let mut expect = input.clone();
+            expect.sort_by(f64::total_cmp);
+            assert_eq!(bits(&sort_total_order(input)), bits(&expect), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn single_pass_compaction_keeps_the_merge_then_halve_survivors() {
+        /// The two-pass form: materialize the merge, then keep every other
+        /// element from `offset`.
+        fn merge_then_halve(a: &[f64], b: &[f64], offset: usize) -> Vec<f64> {
+            let mut merged = Vec::with_capacity(a.len() + b.len());
+            let (mut i, mut j) = (0, 0);
+            while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+                if x.total_cmp(&y).is_le() {
+                    merged.push(x);
+                    i += 1;
+                } else {
+                    merged.push(y);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&a[i..]);
+            merged.extend_from_slice(&b[j..]);
+            merged.into_iter().skip(offset).step_by(2).collect()
+        }
+        let mut rng = SimRng::new(0xC0A7);
+        for (na, nb) in [(64, 64), (64, 63), (63, 64), (7, 64), (1, 0), (0, 5), (0, 0)] {
+            // Few distinct values, signed zeros among them: plenty of ties.
+            let mut draw = |n: usize| {
+                let sign = |rng: &mut SimRng| if rng.chance(0.5) { 0.5 } else { -0.5 };
+                let mut v: Vec<f64> =
+                    (0..n).map(|_| (rng.below(21) as f64 - 10.0) * sign(&mut rng)).collect();
+                v.sort_by(f64::total_cmp);
+                v
+            };
+            let (a, b) = (draw(na), draw(nb));
+            let mut sk = QuantileSketch::new(64);
+            // A fresh level starts at offset 0, then alternates.
+            for offset in [0, 1] {
+                assert_eq!(
+                    bits(&sk.compact(a.clone(), b.clone(), 0)),
+                    bits(&merge_then_halve(&a, &b, offset)),
+                    "{na} + {nb} values, offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -93,10 +93,12 @@ fn classify_hostname_ascii(host: &[u8]) -> HostClass {
         if len == 0 || digits.first() == Some(&b'0') || digits.get(len) != Some(&b'.') {
             continue;
         }
-        let mut n: usize = 0;
-        for d in digits.iter().take(len) {
-            n = n.saturating_mul(10) + usize::from(d - b'0');
-        }
+        // A label too long for `usize` is not a provider.
+        let Some(n) = digits.iter().take(len).try_fold(0usize, |n, d| {
+            n.checked_mul(10)?.checked_add(usize::from(d - b'0'))
+        }) else {
+            continue;
+        };
         if (1..=PROVIDERS.len()).contains(&n) && best.map_or(true, |b| n - 1 < b) {
             best = Some(n - 1);
         }
@@ -260,6 +262,7 @@ mod tests {
             "a.sp1.b", "a.sp25.b", "a.sp26.b", "a.sp07.b", "a.sp0.b", "a.SP12.b",
             ".sp3.", "sp3.", ".sp3", "a.sp12.c.sp3.d", "a.sp.b", "x..sp5..y",
             "a.sp123456789123456789.b", "NET.example", "a.CELLULAR.b",
+            "a.sp18446744073709551619.b", "a.sp18446744073709551617.b",
         ] {
             assert_eq!(classify_hostname_ascii(h.as_bytes()), classify_hostname_general(h), "{h}");
         }

@@ -10,7 +10,7 @@
 //! with production traces.
 //!
 //! Two generators share one client model ([`draw_client_spec`] /
-//! [`emit_record`] are the common core):
+//! [`emit_record`] / [`write_hostname`] are the common core):
 //!
 //! - [`generate_server_log`] — the original batch generator: materialize
 //!   the whole (scaled) day, sort it, return a [`ServerLog`]. Pinned
@@ -23,13 +23,17 @@
 //!   sort. Arrival times are drawn per chunk inside the chunk's time
 //!   window and sorted locally, so concatenating chunks in index order
 //!   yields a globally time-ordered stream. Client identity is a uniform
-//!   draw per record and the client's spec is re-derived on the fly from
-//!   a pure function of `(seed, server, client)` — the same spec every
-//!   time the client shows up, in any chunk. (The batch generator skews
-//!   per-client volume Zipf-style; the streaming generator's volume is
-//!   uniform per client — a documented modelling difference, not a bug.)
+//!   draw per record and the client's spec is a pure function of
+//!   `(seed, server, client)` — the same spec every time the client
+//!   shows up, in any chunk. A chunk keeps the specs it derives in a
+//!   fixed-size direct-mapped cache, so a client seen again in the same
+//!   chunk is not re-derived, and every record is filled into one reused
+//!   [`LogRecord`]. (The batch generator skews per-client volume
+//!   Zipf-style; the streaming generator's volume is uniform per client
+//!   — a documented modelling difference, not a bug.)
 
 use clocksim::rng::SimRng;
+use devtools::sketch::sort_total_order;
 use ntp_wire::{packet::Mode, sntp_profile, NtpDuration, NtpPacket, NtpTimestamp, Version};
 
 use crate::model::{ProviderCategory, ServerProfile, PROVIDERS};
@@ -86,10 +90,23 @@ pub struct ServerLog {
     pub unique_clients: u64,
 }
 
+/// The draws behind a client's reverse-DNS hostname, rendered by
+/// [`write_hostname`].
+#[derive(Clone, Copy, Debug)]
+struct HostParts {
+    /// Category keyword label.
+    keyword: &'static str,
+    /// First address-like label.
+    a: u8,
+    /// Second address-like label.
+    b: u8,
+}
+
+#[derive(Clone, Copy, Debug)]
 struct ClientSpec {
     provider: usize,
     ipv6: bool,
-    hostname: String,
+    host: HostParts,
     sntp: bool,
     /// Minimum (propagation) OWD, ms.
     min_owd_ms: f64,
@@ -118,6 +135,17 @@ fn draw_min_owd(cat: ProviderCategory, rng: &mut SimRng) -> f64 {
     }
 }
 
+/// Sum of the providers' client weights, added in [`PROVIDERS`] order.
+const CLIENT_WEIGHT_TOTAL: f64 = {
+    let mut total = 0.0;
+    let mut rest: &[crate::model::ProviderProfile] = &PROVIDERS;
+    while let [p, tail @ ..] = rest {
+        total += p.client_weight;
+        rest = tail;
+    }
+    total
+};
+
 fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
     if isp_internal {
         // ISP-internal servers see mostly the ISP's own wired
@@ -128,8 +156,7 @@ fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
             rng.int_range(0, 2) as usize
         }
     } else {
-        let total: f64 = PROVIDERS.iter().map(|p| p.client_weight).sum();
-        let mut x = rng.uniform() * total;
+        let mut x = rng.uniform() * CLIENT_WEIGHT_TOTAL;
         for (i, p) in PROVIDERS.iter().enumerate() {
             x -= p.client_weight;
             if x <= 0.0 {
@@ -140,33 +167,50 @@ fn pick_provider(rng: &mut SimRng, isp_internal: bool) -> usize {
     }
 }
 
-fn hostname(provider: usize, client: u32, rng: &mut SimRng) -> String {
-    use std::fmt::Write as _;
+fn draw_host_parts(cat: ProviderCategory, rng: &mut SimRng) -> HostParts {
+    let kw = cat.hostname_keywords();
+    let keyword = kw.get(rng.index(kw.len())).copied().unwrap_or("net");
+    let a = rng.int_range(1, 254) as u8;
+    let b = rng.int_range(1, 254) as u8;
+    HostParts { keyword, a, b }
+}
+
+/// Append client `client`'s hostname to `out`:
+/// `{a}-{b}-{client % 251}.{keyword}.{provider name, spaces dropped,
+/// lowercased}.example.net`. Both generators render through here.
+fn write_hostname(provider: usize, client: u32, parts: &HostParts, out: &mut String) {
     let Some(p) = PROVIDERS.get(provider) else {
-        return String::new(); // unreachable: provider comes from pick_provider
+        return; // unreachable: provider comes from pick_provider
     };
-    let kw = p.category.hostname_keywords();
-    let k = kw.get(rng.index(kw.len())).copied().unwrap_or("net");
-    // Single-allocation build (the streaming generator calls this per
-    // *record*): same draws in the same order, same bytes out as the
-    // original `format!` with `p.name.replace(' ', "").to_lowercase()`.
-    let a = rng.int_range(1, 254);
-    let b = rng.int_range(1, 254);
-    let mut s = String::with_capacity(26 + k.len() + p.name.len());
-    let _ = write!(s, "{a}-{b}-{}.{k}.", client % 251);
-    for ch in p.name.chars() {
-        if ch != ' ' {
-            s.extend(ch.to_lowercase());
+    push_decimal(out, u32::from(parts.a));
+    out.push('-');
+    push_decimal(out, u32::from(parts.b));
+    out.push('-');
+    push_decimal(out, client % 251);
+    out.push('.');
+    out.push_str(parts.keyword);
+    out.push('.');
+    // Provider names are ASCII.
+    for b in p.name.bytes() {
+        if b != b' ' {
+            out.push(char::from(b.to_ascii_lowercase()));
         }
     }
-    s.push_str(".example.net");
-    s
+    out.push_str(".example.net");
+}
+
+/// Append `n` in decimal, as `{n}` formats it.
+fn push_decimal(out: &mut String, n: u32) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
 }
 
 /// Draw one client's spec — the shared client model of both generators.
 /// The draw order here is the batch generator's original order and is
 /// load-bearing: reordering it changes every committed artifact.
-fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientSpec {
+fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile) -> ClientSpec {
     let provider = pick_provider(rng, server.isp_internal);
     let cat = PROVIDERS.get(provider).map(|p| p.category).unwrap_or(ProviderCategory::Isp);
     // ISP-internal servers (CI*/EN*) serve the ISP's own
@@ -198,7 +242,7 @@ fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientS
     ClientSpec {
         provider,
         ipv6,
-        hostname: hostname(provider, c, rng),
+        host: draw_host_parts(cat, rng),
         sntp,
         min_owd_ms,
         jitter_mean_ms: match cat {
@@ -215,11 +259,12 @@ fn draw_client_spec(rng: &mut SimRng, server: &ServerProfile, c: u32) -> ClientS
     }
 }
 
-/// Build one record for client `c` — the shared request model of both
-/// generators. `t_send` and `owd_ms` are drawn by the caller (the two
-/// generators parameterize time differently); the packet-shaping draws
-/// (`poll`, reference age) happen here, after them, in the batch
-/// generator's original order.
+/// Fill `record` with one request of client `ci` — the shared request
+/// model of both generators. `t_send` and `owd_ms` are drawn by the
+/// caller (the two generators parameterize time differently); the
+/// packet-shaping draws (`poll`, reference age) happen here, after them,
+/// in the batch generator's original order. Every field is overwritten;
+/// the hostname and request buffers keep their capacity.
 fn emit_record(
     rng: &mut SimRng,
     c: &ClientSpec,
@@ -227,7 +272,8 @@ fn emit_record(
     t_send: f64,
     owd_ms: f64,
     received_at_secs: f64,
-) -> LogRecord {
+    record: &mut LogRecord,
+) {
     let clock_err = c.clock_err_ms + c.skew_ppm * 1e-3 * t_send; // ppm·s → ms
     // T1 on the client's clock.
     let t1 = ts_at(t_send).wrapping_add_duration(NtpDuration::from_seconds_f64(clock_err / 1e3));
@@ -256,16 +302,32 @@ fn emit_record(
         p.root_dispersion = ntp_wire::NtpShort::from_millis(15);
         p
     };
+    record.client_id = ci;
+    record.hostname.clear();
+    write_hostname(c.provider, ci, &c.host, &mut record.hostname);
+    record.request.clear();
+    record.request.extend_from_slice(&packet.to_bytes());
+    record.received_at_secs = received_at_secs;
+    record.true_provider = c.provider;
+    record.true_ipv6 = c.ipv6;
+    record.true_sntp = c.sntp;
+    record.true_owd_ms = owd_ms;
+    record.true_clock_err_ms = clock_err;
+}
+
+/// A record for [`emit_record`] to fill, with room for any hostname and
+/// request the generators produce.
+fn blank_record() -> LogRecord {
     LogRecord {
-        client_id: ci,
-        hostname: c.hostname.clone(),
-        request: packet.serialize(),
-        received_at_secs,
-        true_provider: c.provider,
-        true_ipv6: c.ipv6,
-        true_sntp: c.sntp,
-        true_owd_ms: owd_ms,
-        true_clock_err_ms: clock_err,
+        client_id: 0,
+        hostname: String::with_capacity(48),
+        request: Vec::with_capacity(ntp_wire::PACKET_LEN),
+        received_at_secs: 0.0,
+        true_provider: 0,
+        true_ipv6: false,
+        true_sntp: false,
+        true_owd_ms: 0.0,
+        true_clock_err_ms: 0.0,
     }
 }
 
@@ -277,8 +339,8 @@ pub fn generate_server_log(server: &ServerProfile, cfg: &SynthConfig, seed: u64)
 
     // Build the client population.
     let mut clients = Vec::with_capacity(n_clients as usize);
-    for c in 0..n_clients {
-        clients.push(draw_client_spec(&mut rng, server, c));
+    for _ in 0..n_clients {
+        clients.push(draw_client_spec(&mut rng, server));
     }
     // Distribute the remaining request budget: NTP clients poll
     // periodically and soak up most of the volume (a Zipf-ish skew).
@@ -302,7 +364,9 @@ pub fn generate_server_log(server: &ServerProfile, cfg: &SynthConfig, seed: u64)
         for _ in 0..c.requests {
             let t_send = rng.uniform_range(0.0, cfg.duration_secs as f64);
             let owd_ms = c.min_owd_ms + rng.exponential(c.jitter_mean_ms);
-            records.push(emit_record(&mut rng, c, ci as u32, t_send, owd_ms, t_send + owd_ms / 1e3));
+            let mut record = blank_record();
+            emit_record(&mut rng, c, ci as u32, t_send, owd_ms, t_send + owd_ms / 1e3, &mut record);
+            records.push(record);
         }
     }
     records.sort_by(|a, b| a.received_at_secs.total_cmp(&b.received_at_secs));
@@ -390,12 +454,18 @@ fn stream_key(seed: u64, server_index: usize, salt: u64, n: u64) -> u64 {
 const KEY_CHUNK: u64 = 0xC1;
 const KEY_CLIENT: u64 = 0xC2;
 
+/// Most client specs one [`stream_chunk`] call caches (a power of two).
+/// The bound holds the cache to about 0.3 MB whatever the chunk size, so
+/// memory stays flat in the full regime's 1 Mi-record chunks.
+const CLIENT_MEMO_SLOTS: usize = 4096;
+
 /// Generate one chunk of one server's stream, pushing each record into
 /// `sink` in server receive-time order. Memory is bounded by the chunk:
-/// one `f64` arrival time per record plus a single in-flight
-/// [`LogRecord`] — no whole-day materialization and no global sort
-/// (concatenating chunks in index order is already globally sorted,
-/// because chunk `c` owns the day's `c`-th time window).
+/// one `f64` arrival time per record, a fixed direct-mapped cache of at
+/// most [`CLIENT_MEMO_SLOTS`] client specs, and a single [`LogRecord`]
+/// refilled in place for every record — no whole-day materialization
+/// and no global sort (concatenating chunks in index order is already
+/// globally sorted, because chunk `c` owns the day's `c`-th time window).
 ///
 /// The chunk is a pure function of `(seed, server, chunk)` under a fixed
 /// config: any subset of chunks can be generated in any order, on any
@@ -417,17 +487,31 @@ pub fn stream_chunk(
     let t0 = chunk as f64 * window;
     let mut rng = SimRng::new(stream_key(seed, server_index, KEY_CHUNK, chunk));
     // Pass 1: the chunk's arrival times, sorted locally.
-    let mut arrivals: Vec<f64> = (0..len).map(|_| rng.uniform_range(t0, t0 + window)).collect();
-    arrivals.sort_by(f64::total_cmp);
+    let arrivals = sort_total_order((0..len).map(|_| rng.uniform_range(t0, t0 + window)).collect());
     // Pass 2: one record per arrival. Client identity is a uniform draw;
-    // the client's spec is re-derived from its pure per-client stream so
-    // it is identical in every chunk it appears in.
-    for &t_arrive in &arrivals {
+    // the client's spec comes from its pure per-client stream, so it is
+    // identical in every chunk it appears in. The cache only skips
+    // re-deriving it: slot `ci & mask`, tagged with the client id, and
+    // allocated per call so no state crosses a chunk boundary.
+    let slots = (plan.n_clients as usize).min(CLIENT_MEMO_SLOTS).next_power_of_two();
+    let mask = slots - 1;
+    let mut memo: Vec<Option<(u32, ClientSpec)>> = vec![None; slots];
+    let mut record = blank_record();
+    for t_arrive in arrivals {
         let ci = rng.below(plan.n_clients as u64) as u32;
-        let mut client_rng = SimRng::new(stream_key(seed, server_index, KEY_CLIENT, ci as u64));
-        let spec = draw_client_spec(&mut client_rng, server, ci);
+        let spec = match memo.get_mut(ci as usize & mask) {
+            Some(Some((tag, spec))) if *tag == ci => *spec,
+            slot => {
+                let key = stream_key(seed, server_index, KEY_CLIENT, u64::from(ci));
+                let spec = draw_client_spec(&mut SimRng::new(key), server);
+                if let Some(slot) = slot {
+                    *slot = Some((ci, spec));
+                }
+                spec
+            }
+        };
         let owd_ms = spec.min_owd_ms + rng.exponential(spec.jitter_mean_ms);
-        let record = emit_record(&mut rng, &spec, ci, t_arrive - owd_ms / 1e3, owd_ms, t_arrive);
+        emit_record(&mut rng, &spec, ci, t_arrive - owd_ms / 1e3, owd_ms, t_arrive, &mut record);
         sink(&record);
     }
 }
@@ -560,6 +644,59 @@ mod tests {
             out.push(r.clone())
         });
         out
+    }
+
+    /// FNV-1a-64 over a byte stream.
+    struct Fnv1a(u64);
+
+    impl Fnv1a {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        /// Every field of a record: floats by their bits, the hostname
+        /// and request by their (length-prefixed) bytes.
+        fn record(&mut self, r: &LogRecord) {
+            self.bytes(&r.client_id.to_le_bytes());
+            self.bytes(&(r.hostname.len() as u64).to_le_bytes());
+            self.bytes(r.hostname.as_bytes());
+            self.bytes(&(r.request.len() as u64).to_le_bytes());
+            self.bytes(&r.request);
+            self.bytes(&r.received_at_secs.to_bits().to_le_bytes());
+            self.bytes(&(r.true_provider as u64).to_le_bytes());
+            self.bytes(&[u8::from(r.true_ipv6), u8::from(r.true_sntp)]);
+            self.bytes(&r.true_owd_ms.to_bits().to_le_bytes());
+            self.bytes(&r.true_clock_err_ms.to_bits().to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn stream_chunk_bytes_are_pinned() {
+        // The first and last chunk of four servers at scale 1/1000 in
+        // 2 Ki-record chunks. MW2's 9 482 clients overflow the 4096-slot
+        // client cache, so its chunks take both cache hits and slot
+        // collisions; CI1 and SU1 are dual-stack; and the mix carries
+        // SNTP and full-NTP requests.
+        let cfg = stream_cfg(1_000, 2_048);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        let (mut records, mut sntp, mut ipv6) = (0u64, 0u64, 0u64);
+        for id in ["AG1", "CI1", "MW2", "SU1"] {
+            let si = SERVERS.iter().position(|s| s.id == id).unwrap();
+            let mut chunks = vec![0, chunk_plan(&SERVERS[si], &cfg).chunks - 1];
+            chunks.dedup();
+            for chunk in chunks {
+                stream_chunk(&SERVERS[si], si, &cfg, 2016, chunk, &mut |r| {
+                    h.record(r);
+                    records += 1;
+                    sntp += u64::from(r.true_sntp);
+                    ipv6 += u64::from(r.true_ipv6);
+                });
+            }
+        }
+        assert!(sntp > 0 && sntp < records && ipv6 > 0, "sntp {sntp} ipv6 {ipv6} of {records}");
+        assert_eq!((records, h.0), (13_141, 0x3218_27f1_b50e_2665));
     }
 
     #[test]

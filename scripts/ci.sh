@@ -64,6 +64,12 @@ cargo test -q --release --offline --test streaming_equivalence
 echo "== full-scale pipeline is (shards, jobs)-invariant =="
 cargo test -q --release --offline --test parallel_equivalence fullscale
 
+echo "== committed full-scale artifact matches the code (all 209M records, ~1.5 min) =="
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+cargo run --release --offline -p experiments --bin repro -- --jobs 2 --out "$tmp" fullscale
+cmp results/fullscale.txt "$tmp/fullscale.txt"
+
 # e2ebench/ is a standalone package outside the workspace, so the steps
 # above never compile it; build and test it here so an API move in the
 # crates it calls cannot break it unnoticed.
