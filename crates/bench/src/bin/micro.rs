@@ -10,7 +10,6 @@ use clocksim::fit::{fit_line, fit_poly};
 use clocksim::rng::SimRng;
 use clocksim::time::{SimDuration, SimTime};
 use mntp::TrendFilter;
-use netsim::kernel::Sim;
 use netsim::lanes::ChannelBank;
 use netsim::wifi::WifiConfig;
 use ntp_wire::{sntp_profile, Exchange, NtpPacket, NtpTimestamp};
@@ -83,45 +82,6 @@ fn bench_select(s: &mut Suite) {
     s.bench("marzullo_select_16", |b| b.iter(|| select_survivors(black_box(&cands))));
 }
 
-fn bench_des_kernel(s: &mut Suite) {
-    s.bench("des_kernel_10k_events", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            let mut world = 0u64;
-            fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                *w += 1;
-                if !(*w).is_multiple_of(10) {
-                    sim.schedule_in(SimDuration::from_millis(1), tick);
-                }
-            }
-            for i in 0..1000 {
-                sim.schedule_at(SimTime::from_millis(i), tick);
-            }
-            sim.run_to_completion(&mut world);
-            world
-        })
-    });
-    // Same workload on the fn-pointer fast path: no Box, no vtable, and
-    // the periodic pattern recycles slab slots instead of growing.
-    s.bench("des_kernel_10k_events_fn", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            let mut world = 0u64;
-            fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                *w += 1;
-                if !(*w).is_multiple_of(10) {
-                    sim.schedule_fn_in(SimDuration::from_millis(1), tick);
-                }
-            }
-            for i in 0..1000 {
-                sim.schedule_fn_at(SimTime::from_millis(i), tick);
-            }
-            sim.run_to_completion(&mut world);
-            world
-        })
-    });
-}
-
 fn bench_par_pool(s: &mut Suite) {
     use devtools::par::Pool;
     // Dispatch overhead: near-trivial tasks, so the measurement is the
@@ -190,31 +150,6 @@ fn bench_exchange(s: &mut Suite) {
     });
 }
 
-fn bench_scheduler(s: &mut Suite) {
-    // 4096 concurrent timers rescheduling at mixed 64 ms – 8 s cadences
-    // until ~20k events have fired — the bounded-horizon, deep-queue
-    // shape the fleet presents (one poll timer per client).
-    s.bench("timing_wheel_poll_timers_4k", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            let mut world = 0u64;
-            fn tick(w: &mut u64, sim: &mut Sim<u64>) {
-                *w += 1;
-                if *w < 20_000 {
-                    let d = 64i64 << (*w % 8);
-                    sim.schedule_fn_in(SimDuration::from_millis(d), tick);
-                }
-            }
-            for i in 0..4096 {
-                sim.schedule_fn_at(SimTime::from_millis(i), tick);
-                sim.schedule_fn_at(SimTime::from_millis(i), tick);
-            }
-            sim.run_to_completion(&mut world);
-            world
-        })
-    });
-}
-
 fn bench_fleet_kernel(s: &mut Suite) {
     use devtools::par::Pool;
     use mntp::{run_fleet_on, Discipline, FleetClient, FleetRunConfig, SntpDiscipline};
@@ -259,7 +194,7 @@ fn bench_fleet_kernel(s: &mut Suite) {
             run_fleet_on(&serial, &mut clients, &mut net, &mut pool, &cfg).polls_sent
         })
     });
-    // Same shape at N=100k with 8 kernel shards: the cache-linear
+    // Same shape at N=100k with 8 shards: the cache-linear
     // ChannelBank tick and the epoch-barrier runner under the load the
     // scale experiments use (steady-state sampling, serial worker).
     s.bench("fleet_kernel_100k_clients", |b| {
@@ -560,8 +495,6 @@ fn main() {
     bench_fits(&mut s);
     bench_trend_filter(&mut s);
     bench_select(&mut s);
-    bench_des_kernel(&mut s);
-    bench_scheduler(&mut s);
     bench_par_pool(&mut s);
     bench_wifi_channel(&mut s);
     bench_exchange(&mut s);

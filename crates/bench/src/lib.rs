@@ -7,7 +7,7 @@
 //!   numbers).
 //! * `micro` — hot-path microbenchmarks: packet codec, clock algebra,
 //!   RNG, least-squares fits, the trend filter, NTP mitigation stages,
-//!   the DES kernel, and the channel models.
+//!   and the channel models.
 //! * `ablations` — runtime cost of each MNTP mechanism combination
 //!   (the corresponding *quality* numbers come from
 //!   `experiments::ablations` via the `repro` binary).

@@ -56,8 +56,8 @@ impl SimTime {
         NtpTimestamp::from_era_nanos(epoch_ns + self.0 as i128)
     }
 
-    /// Saturating add — the kernel uses this when scheduling far-future
-    /// events so arithmetic can never wrap.
+    /// Saturating add: a far-future instant clamps at the end of
+    /// simulated time instead of wrapping.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }

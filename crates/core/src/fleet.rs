@@ -12,13 +12,14 @@
 //!
 //! # Epoch-barrier phases
 //!
-//! The world is partitioned into `K` kernel shards
+//! The world is partitioned into `K` shards
 //! ([`netsim::fleet::FleetShard`]); each driver tick is an epoch of
 //! three phases:
 //!
-//! 1. **Phase A (shard-parallel):** advance the shard kernel, poll every
-//!    client, stamp `t1` and pay the wireless uplink for each query
-//!    ([`begin_fleet_exchange`]). Touches only shard-private state.
+//! 1. **Phase A (shard-parallel):** advance the shard's cross-traffic
+//!    timer, poll every client, stamp `t1` and pay the wireless uplink
+//!    for each query ([`begin_fleet_exchange`]). Touches only
+//!    shard-private state.
 //! 2. **Phase B (serial barrier):** deliver every in-flight request to
 //!    the shared server models *in global client-id order*
 //!    ([`serve_fleet_exchange`]) — the one place cross-shard state
@@ -215,9 +216,9 @@ fn finish_client(
     }
 }
 
-/// Phase A for one shard: advance the kernel, poll clients, transmit
-/// uplinks. Idle clients finish their tick here; querying clients park a
-/// [`PendingRound`] for the barrier.
+/// Phase A for one shard: advance its cross-traffic timer, poll
+/// clients, transmit uplinks. Idle clients finish their tick here;
+/// querying clients park a [`PendingRound`] for the barrier.
 #[allow(clippy::too_many_arguments)]
 fn shard_poll_phase(
     shard: &mut FleetShard,
@@ -687,7 +688,7 @@ mod tests {
 
     /// The sharding/jobs contract end to end at the runner level: any
     /// (shard count, worker count) combination must reproduce the
-    /// single-kernel serial run bit for bit.
+    /// single-shard serial run bit for bit.
     #[test]
     fn sharded_parallel_run_matches_serial() {
         let cfg = FleetRunConfig {

@@ -50,6 +50,21 @@ impl Config {
         }
     }
 
+    /// Every path the policy names, as `(section, key, path)`.
+    pub(crate) fn named_paths(&self) -> impl Iterator<Item = (&'static str, &str, &str)> + '_ {
+        let lists: [(&'static str, &str, &[String]); 4] = [
+            ("workspace", "roots", &self.roots),
+            ("workspace", "exclude", &self.exclude),
+            ("panic", "paths", &self.panic_paths),
+            ("interproc", "artifact_paths", &self.artifact_paths),
+        ];
+        let skips = self.skip.iter().map(|(lint, paths)| ("skip", lint.as_str(), paths.as_slice()));
+        lists
+            .into_iter()
+            .chain(skips)
+            .flat_map(|(section, key, paths)| paths.iter().map(move |p| (section, key, p.as_str())))
+    }
+
     /// Does `lint` apply to `path` (a `/`-separated root-relative path)?
     pub fn lint_enabled(&self, lint: &str, is_panic_class: bool, path: &str) -> bool {
         if is_panic_class && !self.panic_paths.iter().any(|p| path_has_prefix(path, p)) {

@@ -283,13 +283,22 @@ fn resolve_pragmas(rel: &str, pragmas: Vec<rules::Pragma>, out: &mut Outcome) {
 }
 
 /// Read and parse `root/lint.toml`, or fall back to the built-in policy.
+/// Every path the policy names must exist under `root`: a renamed file
+/// would otherwise drop out of its policy without a word.
 pub fn load_config(root: &Path) -> io::Result<Config> {
     let path = root.join("lint.toml");
     if !path.exists() {
         return Ok(Config::fallback());
     }
     let text = fs::read_to_string(&path)?;
-    config::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let cfg = config::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    if let Some((section, key, p)) = cfg.named_paths().find(|(_, _, p)| !root.join(p).exists()) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("lint.toml: [{section}] {key} names `{p}`, which does not exist"),
+        ));
+    }
+    Ok(cfg)
 }
 
 /// Lint one file's source text into `out` — token rules plus the

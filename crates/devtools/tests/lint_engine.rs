@@ -5,7 +5,10 @@
 //! expected and pragmas suppress it).
 
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 
+use devtools::lint;
 use devtools::lint::config::{self, Config};
 use devtools::lint::rules::scan_file;
 use devtools::lint::tokens::{tokenize, TokenKind};
@@ -280,6 +283,34 @@ fn config_scoping_prefix_semantics() {
     // Bin targets own their exit codes.
     assert!(!cfg.lint_enabled("no-process", false, "crates/tuner/src/bin/mntp-tuner.rs"));
     assert!(cfg.lint_enabled("no-process", false, "crates/tuner/src/lib.rs"));
+}
+
+#[test]
+fn load_config_rejects_a_policy_path_that_names_nothing() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint_stale_policy_path");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates/a/src")).unwrap();
+    std::fs::write(root.join("crates/a/src/lib.rs"), "pub fn f() {}\n").unwrap();
+    let policy = |hot: &str| {
+        format!(
+            r#"
+[workspace]
+roots = ["crates"]
+
+[panic]
+paths = ["crates/a/src", "{hot}"]
+"#
+        )
+    };
+    std::fs::write(root.join("lint.toml"), policy("crates/a/src/lib.rs")).unwrap();
+    assert!(lint::load_config(&root).is_ok());
+    std::fs::write(root.join("lint.toml"), policy("crates/a/src/gone.rs")).unwrap();
+    let err = lint::load_config(&root).expect_err("a stale [panic] path must not load");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.contains("[panic] paths") && msg.contains("`crates/a/src/gone.rs`"), "{msg}");
+    assert!(lint::run(&root).is_err(), "the linter must refuse the stale policy");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 // ---------------------------------------------------------------- fixtures

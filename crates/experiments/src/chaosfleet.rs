@@ -47,7 +47,7 @@ use clocksim::{OscillatorConfig, SimClock};
 /// Servers in the shared pool.
 const SERVERS: usize = 4;
 
-/// Kernel shards for the parallel runs (fixed: shard count must not be
+/// Shards for the parallel runs (fixed: shard count must not be
 /// able to leak into artifact bytes).
 const SHARDS: usize = 8;
 

@@ -37,7 +37,7 @@ use sntp::{PickLane, PoolConfig, ServerPool};
 /// Number of servers every fleet trial runs against.
 const SERVERS: usize = 4;
 
-/// Kernel shards per fleet world. Fixed for every trial (shard count is
+/// Shards per fleet world. Fixed for every trial (shard count is
 /// not observable in results, but fixing it keeps artifact bytes
 /// independent of any future heuristic).
 const SHARDS: usize = 8;
@@ -191,7 +191,7 @@ fn build_clients(n: usize, seed: u64) -> Vec<FleetClient> {
         .collect()
 }
 
-/// Run one fleet trial, ticking its kernel shards over `jobs` worker
+/// Run one fleet trial, ticking its shards over `jobs` worker
 /// threads (the output is identical at any job count). Returns the
 /// summary row plus the raw arrival log when `collect_log` is set (the
 /// log does not perturb the trial: collection only stores observations).
@@ -354,7 +354,7 @@ pub fn sweep_sizes(quick: bool) -> Vec<usize> {
 ///
 /// Small populations run as one task each (trial-level parallelism);
 /// populations at the steady-sampling threshold and above run one at a
-/// time with their kernel shards fanned across `pool.jobs()` workers
+/// time with their shards fanned across `pool.jobs()` workers
 /// instead — at that size a single trial dominates the sweep, so
 /// shard-level parallelism is the useful axis.
 pub fn run_sweep_on(pool: &Pool, seed: u64, quick: bool) -> FleetSweepResult {

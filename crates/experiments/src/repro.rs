@@ -27,7 +27,8 @@ pub struct Options {
     /// Short horizons (`--quick`): 15-minute hours, skip the 4-hour and
     /// tuner pipelines.
     pub quick: bool,
-    /// Artifact ids to produce; empty = everything.
+    /// Artifact ids or groups (`validation`, `extended`) to produce;
+    /// empty = everything.
     pub selected: Vec<String>,
     /// Output directory for `<id>.txt` artifacts.
     pub out_dir: PathBuf,
@@ -71,15 +72,21 @@ impl Options {
                     let v = it.next().ok_or("--out requires a directory argument")?;
                     opts.out_dir = PathBuf::from(v);
                 }
-                other if !other.starts_with('-') => opts.selected.push(other.to_string()),
+                other if !other.starts_with('-') => {
+                    if !expected_ids(false).iter().any(|id| *id == other || group(id) == other) {
+                        return Err(format!("unknown artifact or group: {other}"));
+                    }
+                    opts.selected.push(other.to_string());
+                }
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
         Ok(opts)
     }
 
+    /// Whether artifact `id` is selected, by its id or by its group.
     fn want(&self, id: &str) -> bool {
-        self.selected.is_empty() || self.selected.iter().any(|s| s == id)
+        self.selected.is_empty() || self.selected.iter().any(|s| s == id || s == group(id))
     }
 
     fn hour(&self) -> u64 {
@@ -100,6 +107,12 @@ pub struct Report {
     /// `(artifact id, error)` for every artifact whose file write
     /// failed.
     pub write_failures: Vec<(String, String)>,
+}
+
+/// The group of artifact `id`: the part before its `_`
+/// (`validation_drift` → `validation`), or the whole id.
+fn group(id: &str) -> &str {
+    id.split_once('_').map_or(id, |(g, _)| g)
 }
 
 /// The artifact ids a full (non-quick) run produces, in emit order.
@@ -202,13 +215,15 @@ pub fn run(opts: &Options) -> Report {
             out
         }));
     }
-    if opts.want("validation") {
+    if opts.want("validation_drift") {
         tasks.push(Box::new(move || {
             vec![(
                 "validation_drift",
                 validation::render_drift(&validation::drift_estimation_accuracy(SEED)),
             )]
         }));
+    }
+    if opts.want("validation_temperature") {
         tasks.push(Box::new(move || {
             vec![(
                 "validation_temperature",
@@ -225,7 +240,7 @@ pub fn run(opts: &Options) -> Report {
             vec![("ablations", ablations::render_suite(&ablations::run_suite_on(&inner, SEED, d)))]
         }));
     }
-    if opts.want("extended") {
+    if opts.want("extended_threeway") {
         let d3 = if quick { 1800 } else { 2 * 3600 };
         tasks.push(Box::new(move || {
             let inner = Pool::with_jobs(1);
@@ -234,6 +249,8 @@ pub fn run(opts: &Options) -> Report {
                 extended::render_three_way(&extended::three_way_on(&inner, SEED, d3)),
             )]
         }));
+    }
+    if opts.want("extended_vendor") {
         let days = if quick { 1 } else { 3 };
         tasks.push(Box::new(move || {
             let inner = Pool::with_jobs(1);
@@ -242,6 +259,8 @@ pub fn run(opts: &Options) -> Report {
                 extended::render_vendor(&extended::vendor_policies_on(&inner, SEED, days)),
             )]
         }));
+    }
+    if opts.want("extended_huffpuff") {
         let dh = if quick { 1800 } else { 3600 };
         tasks.push(Box::new(move || {
             vec![(
@@ -249,6 +268,8 @@ pub fn run(opts: &Options) -> Report {
                 extended::render_huffpuff(&extended::huffpuff_comparison(SEED, dh)),
             )]
         }));
+    }
+    if opts.want("extended_autotune") {
         let da = if quick { 1800 } else { 2 * 3600 };
         tasks.push(Box::new(move || {
             let inner = Pool::with_jobs(1);
@@ -257,6 +278,8 @@ pub fn run(opts: &Options) -> Report {
                 extended::render_autotune(&extended::autotune_comparison_on(&inner, SEED, da)),
             )]
         }));
+    }
+    if opts.want("extended_scenarios") {
         let ds = if quick { 1800 } else { 3600 };
         tasks.push(Box::new(move || {
             let inner = Pool::with_jobs(1);
@@ -366,6 +389,22 @@ mod tests {
         assert_eq!(o.jobs, Some(4));
         assert_eq!(o.selected, vec!["fig6", "fig8"]);
         assert!(o.want("fig6") && o.want("fig8") && !o.want("fig12"));
+        // One artifact of a group runs alone. The out dir sits below a
+        // file, so nothing lands on disk: each artifact the run produced
+        // shows up as a write failure instead.
+        let o = Options {
+            out_dir: Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml").join("out"),
+            jobs: Some(1),
+            print: false,
+            ..Options::from_args(&["validation_drift".to_string()]).unwrap()
+        };
+        let failures = run(&o).write_failures;
+        let produced: Vec<&str> =
+            failures.iter().map(|(id, _)| id.as_str()).filter(|id| *id != "<out dir>").collect();
+        assert_eq!(produced, ["validation_drift"]);
+        // A group selects each of its artifacts.
+        let o = Options::from_args(&["extended".to_string()]).unwrap();
+        assert!(o.want("extended_vendor") && o.want("extended_scenarios") && !o.want("fig6"));
     }
 
     #[test]
@@ -377,6 +416,8 @@ mod tests {
         assert!(bad(&["--jobs", "0"]).is_err());
         assert!(bad(&["--jobs", "many"]).is_err());
         assert!(bad(&["--frobnicate"]).is_err());
+        assert!(bad(&["fig3"]).is_err());
+        assert!(bad(&["fig"]).is_err());
     }
 
     #[test]

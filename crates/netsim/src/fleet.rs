@@ -3,25 +3,24 @@
 //! The single-client [`crate::testbed::Testbed`] reproduces the paper's
 //! §3.2 bench: one phone, one monitor node, one WAP. This module scales
 //! that world out for the fleet experiments (§6 scalability discussion):
-//! one [`Sim`] kernel hosts `N` client channels contending behind the
-//! same access point plus `M` server-side service models, so a single
-//! trial can observe both ends — per-client offset error *and* the
-//! server-side arrival process the paper measured from production logs
-//! (Figures 11/12).
+//! `N` client channels contend behind the same access point in front of
+//! `M` server-side service models, so a single trial can observe both
+//! ends — per-client offset error *and* the server-side arrival process
+//! the paper measured from production logs (Figures 11/12).
 //!
 //! # Sharding
 //!
 //! At fleet scale (100k–1M clients) the world is partitioned by client id
-//! into `K` contiguous [`FleetShard`]s, each owning its own deterministic
-//! [`Sim`] kernel and a struct-of-arrays [`ChannelBank`] for its id range.
-//! Shards share *nothing* mutable: the one world-coupling process — the
-//! cross-traffic source behind the AP — is replicated per shard from an
-//! identical RNG stream, so every shard computes the same utilization
-//! schedule independently. Server models stay global (they are driven
-//! serially, in client-id order, by the fleet runner's epoch barrier — see
-//! `mntp::fleet`). Consequently `K` is an execution detail: any shard
-//! count produces byte-identical worlds, which is what lets the runner
-//! tick shards on parallel workers.
+//! into `K` contiguous [`FleetShard`]s, each owning a struct-of-arrays
+//! [`ChannelBank`] for its id range. Shards share *nothing* mutable: the
+//! one world-coupling process — the cross-traffic source behind the AP —
+//! is replicated per shard from an identical RNG stream and run as a
+//! due-time timer (the next instant it re-decides), so every shard
+//! computes the same utilization schedule independently. Server models
+//! stay global (they are driven serially, in client-id order, by the
+//! fleet runner's epoch barrier — see `mntp::fleet`). Consequently `K`
+//! is an execution detail: any shard count produces byte-identical
+//! worlds, which is what lets the runner tick shards on parallel workers.
 //!
 //! # RNG lanes
 //!
@@ -57,7 +56,6 @@ use clocksim::time::{SimDuration, SimTime};
 
 use crate::admission::{Admission, Ladder, Rung};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
-use crate::kernel::Sim;
 use crate::lanes::{ChannelBank, Lane};
 use crate::wifi::{WifiConfig, WirelessHints};
 
@@ -290,7 +288,7 @@ pub struct FleetConfig {
     pub initial_frequency: f64,
     /// Service model applied to every server.
     pub server: ServerModelConfig,
-    /// Number of deterministic kernel shards the client population is
+    /// Number of deterministic shards the client population is
     /// partitioned across (contiguous id ranges). Purely an execution
     /// detail: any value ≥ 1 produces a byte-identical world; clamped to
     /// the client count.
@@ -311,8 +309,9 @@ impl Default for FleetConfig {
     }
 }
 
-/// Mutable world state owned by one shard's kernel.
-pub struct ShardState {
+/// One shard of the fleet world: the channel bank for a contiguous range
+/// of client ids, plus this shard's replica of the cross-traffic source.
+pub struct FleetShard {
     /// Last-hop channels for this shard's id range, column-wise.
     bank: ChannelBank,
     /// This shard's replica of the shared download source contending for
@@ -320,36 +319,22 @@ pub struct ShardState {
     /// same RNG stream), so all shards compute the same utilization
     /// schedule without communicating.
     cross: CrossTraffic,
-}
-
-/// One shard of the fleet world: a deterministic [`Sim`] kernel driving
-/// the cross-traffic replica, plus the channel bank for a contiguous
-/// range of client ids.
-pub struct FleetShard {
-    sim: Sim<ShardState>,
-    state: ShardState,
+    /// When the replica next re-decides the utilization target.
+    next_cross: SimTime,
     /// First global client id owned by this shard.
     lo: usize,
 }
 
-/// Background process: the cross-traffic replica re-decides and pushes
-/// the new utilization target to the shard's channel bank.
-fn cross_tick(state: &mut ShardState, sim: &mut Sim<ShardState>) {
-    let t = sim.now();
-    let util = state.cross.decide(t);
-    state.bank.set_utilization(util);
-    sim.schedule_fn_in(state.cross.decision_interval(), cross_tick);
-}
-
 impl FleetShard {
-    /// Current kernel time of this shard.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Run this shard's background processes up to `t`.
+    /// Run this shard's background process up to `t`: every
+    /// cross-traffic decision due at or before `t` pushes its
+    /// utilization target to the channel bank.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.sim.run_until(&mut self.state, t);
+        while self.next_cross <= t {
+            let util = self.cross.decide(self.next_cross);
+            self.bank.set_utilization(util);
+            self.next_cross += self.cross.decision_interval();
+        }
     }
 
     /// First global client id owned by this shard.
@@ -359,24 +344,24 @@ impl FleetShard {
 
     /// Number of clients owned by this shard.
     pub fn client_count(&self) -> usize {
-        self.state.bank.len()
+        self.bank.len()
     }
 
     /// Whether global client id `client` lives in this shard.
     pub fn contains(&self, client: usize) -> bool {
-        client >= self.lo && client - self.lo < self.state.bank.len()
+        client >= self.lo && client - self.lo < self.bank.len()
     }
 
     /// The lane of *global* client id `client`, or `None` when the id is
     /// outside this shard's range.
     pub fn lane(&mut self, client: usize) -> Option<Lane<'_>> {
         let local = client.checked_sub(self.lo)?;
-        self.state.bank.lane(local)
+        self.bank.lane(local)
     }
 }
 
-/// The shared multi-client world: `K` deterministic kernel shards plus
-/// the global server-side service models.
+/// The shared multi-client world: `K` deterministic shards plus the
+/// global server-side service models.
 pub struct FleetNet {
     shards: Vec<FleetShard>,
     servers: Vec<ServerModel>,
@@ -407,18 +392,10 @@ impl FleetNet {
             let bank = ChannelBank::new(cfg.wifi.clone(), rngs);
             let cross =
                 CrossTraffic::new(cfg.cross.clone(), cfg.initial_frequency, cross_rng.clone());
-            let mut sim = Sim::default();
-            sim.schedule_fn_at(SimTime::ZERO, cross_tick);
-            shards.push(FleetShard { sim, state: ShardState { bank, cross }, lo });
+            shards.push(FleetShard { bank, cross, next_cross: SimTime::ZERO, lo });
             lo += len;
         }
         FleetNet { shards, servers }
-    }
-
-    /// Current kernel time (all shards advance in lockstep under
-    /// [`FleetNet::advance_to`]).
-    pub fn now(&self) -> SimTime {
-        self.shards.first().map_or(SimTime::ZERO, FleetShard::now)
     }
 
     /// Run background processes (cross-traffic decisions) on every shard
@@ -470,7 +447,7 @@ impl FleetNet {
         self.servers.len()
     }
 
-    /// Number of kernel shards.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -600,6 +577,24 @@ mod tests {
                 assert_eq!(a.hints(c, t), b.hints(c, t), "client {c} step {step}");
             }
         }
+        // Extra `advance_to` calls are unobservable. Both worlds are
+        // probed every 5 s; the second is first advanced to extra targets,
+        // in s before the probe: exact cross-traffic decision instants
+        // (every 2 s), instants between them, and instants before the
+        // previous probe.
+        let mut plain = FleetNet::new(&cfg, 42);
+        let mut poked = FleetNet::new(&cfg, 42);
+        let extra_s: [&[f64]; 3] = [&[4.0, 3.0, 0.0], &[9.0, 2.5, 0.5], &[5.0, 1.0, 0.25]];
+        for (step, extra) in (1..=120).zip(extra_s.iter().cycle()) {
+            let t_s = f64::from(step) * 5.0;
+            for back in extra.iter() {
+                poked.advance_to(secs(t_s - back));
+            }
+            let t = secs(t_s);
+            for c in 0..5 {
+                assert_eq!(plain.hints(c, t), poked.hints(c, t), "client {c} at {t_s} s");
+            }
+        }
     }
 
     #[test]
@@ -621,7 +616,7 @@ mod tests {
     #[test]
     fn shard_count_is_not_observable() {
         // The whole sharding contract in one assertion: partitioning the
-        // same seeded world across K kernels must not change a single
+        // same seeded world across K shards must not change a single
         // hint or transmit delay for any client.
         let mk = |shards| FleetConfig { clients: 7, servers: 2, shards, ..FleetConfig::default() };
         let mut a = FleetNet::new(&mk(1), 99);

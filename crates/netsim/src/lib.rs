@@ -1,12 +1,12 @@
 //! # netsim
 //!
-//! A deterministic discrete-event network simulator purpose-built for the
-//! MNTP reproduction. It supplies every network the paper's experiments
-//! ran on:
+//! A deterministic network simulator purpose-built for the MNTP
+//! reproduction. It supplies every network the paper's experiments ran
+//! on. Each packet's delay and loss are computed when it crosses a
+//! channel, and the few background processes (the testbed monitor
+//! node's, a fleet shard's cross traffic) run as due-time timers, so no
+//! event queue is needed:
 //!
-//! * [`kernel`] — the event-queue executor ([`kernel::Sim`]): closures
-//!   scheduled at absolute times, FIFO-stable for ties, fully
-//!   deterministic for a given seed.
 //! * [`link`] — composable per-packet delay and loss models (fixed /
 //!   normal / lognormal / heavy-tail delay; Bernoulli / Gilbert–Elliott
 //!   loss) used for wired segments and Internet backbones.
@@ -56,19 +56,16 @@ pub mod chaos;
 pub mod crosstraffic;
 pub mod faults;
 pub mod fleet;
-pub mod kernel;
 pub mod lanes;
 pub mod link;
 pub mod pcap;
 pub mod scenarios;
 pub mod testbed;
-mod wheel;
 pub mod wifi;
 
 pub use chaos::{ChaosEvent, ClientChaosLatch, ClientRange, FleetFaultPlan, ServerChaosLatch};
 pub use faults::{FaultInjector, FaultKind, FaultSchedule, FaultWindow, PacketFate, ServerSet};
 pub use fleet::{FleetConfig, FleetNet, ServerModel, ServerModelConfig, ServiceDecision};
-pub use kernel::Sim;
 pub use lanes::{ChannelBank, Lane};
 pub use link::{DelayModel, Link, LossModel};
 pub use testbed::{LastHop, Testbed, TestbedConfig};

@@ -17,6 +17,14 @@
 //! The controller's closed loop is what gives every experiment its
 //! characteristic alternation of calm and hostile channel episodes.
 //!
+//! The monitor node's three processes (cross-traffic decisions, ping
+//! probes, control steps) run as due-time timers: each holds the next
+//! instant it must run, and [`Testbed::advance_to`] fires every timer due
+//! by the target in time order, same-instant ties in the order the timers
+//! were armed. With the default cadences (2 s, 1 s, 5 s) the processes
+//! coincide every few seconds, and that tie order decides which pings a
+//! control step sees.
+//!
 //! The testbed is also configurable with a **wired** or **cellular** last
 //! hop so the same harness runs the paper's control experiments (wired
 //! SNTP, §3.2) and the 4G experiment (§3.3).
@@ -28,7 +36,6 @@ use clocksim::time::{SimDuration, SimTime};
 
 use crate::cellular::{CellularChannel, CellularConfig};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
-use crate::kernel::Sim;
 use crate::lanes::ChannelBank;
 use crate::link::{DelayModel, Link, LossModel};
 use crate::wifi::{WifiConfig, WirelessHints};
@@ -110,7 +117,26 @@ struct PingResult {
     rtt_ms: Option<f64>,
 }
 
-/// Mutable world state driven by the kernel.
+/// One of the monitor node's background processes (§3.2).
+#[derive(Clone, Copy)]
+enum Process {
+    /// Cross-traffic download decisions.
+    Cross,
+    /// A ping probe across the last hop.
+    Ping,
+    /// One step of the feedback controller.
+    Control,
+}
+
+/// A due-time timer: the next instant `process` runs, and the sequence
+/// number it was armed with, which orders timers due at the same instant.
+struct Timer {
+    due: SimTime,
+    seq: u64,
+    process: Process,
+}
+
+/// Mutable world state driven by the background processes.
 pub struct TestbedState {
     /// The last hop between TN and the WAP/Internet.
     pub last_hop: LastHop,
@@ -125,6 +151,26 @@ pub struct TestbedState {
 }
 
 impl TestbedState {
+    /// Run `process` at `t` and return the interval until it runs again.
+    fn run(&mut self, process: Process, t: SimTime) -> SimDuration {
+        match process {
+            Process::Cross => {
+                self.apply_utilization(t);
+                self.cross
+                    .as_ref()
+                    .map_or(SimDuration::from_secs(2), CrossTraffic::decision_interval)
+            }
+            Process::Ping => {
+                self.ping_once(t);
+                SimDuration::from_secs_f64(self.monitor_cfg.ping_interval_secs)
+            }
+            Process::Control => {
+                self.control_step(t);
+                SimDuration::from_secs_f64(self.monitor_cfg.control_interval_secs)
+            }
+        }
+    }
+
     fn apply_utilization(&mut self, t: SimTime) {
         if let (Some(cross), LastHop::Wireless(wifi)) = (&mut self.cross, &mut self.last_hop) {
             let u = cross.decide(t);
@@ -198,8 +244,8 @@ impl TestbedState {
     }
 }
 
-/// The testbed: a kernel plus its world, with the §3.2 processes
-/// (cross-traffic decisions, pinger, controller) pre-scheduled.
+/// The testbed: its world plus a due-time timer for each §3.2 process
+/// (cross-traffic decisions, pinger, controller) it runs.
 ///
 /// ```
 /// use netsim::{Testbed, TestbedConfig};
@@ -214,7 +260,10 @@ impl TestbedState {
 /// let _delay = tb.last_hop_up(SimTime::from_secs(10));
 /// ```
 pub struct Testbed {
-    sim: Sim<TestbedState>,
+    /// One timer per armed process; wired and cellular testbeds arm none.
+    timers: Vec<Timer>,
+    /// Sequence number the next re-armed timer takes.
+    next_seq: u64,
     /// The world. Public so experiments can reach the channel directly
     /// (e.g. to read telemetry); protocol code should stick to the
     /// high-level methods.
@@ -236,9 +285,12 @@ impl Testbed {
             control_actions: 0,
             degraded_verdicts: 0,
         };
-        let mut tb = Testbed { sim: Sim::new(), state };
-        tb.schedule_processes(cfg.monitor_enabled);
-        tb
+        let mut timers = vec![Timer { due: SimTime::ZERO, seq: 0, process: Process::Cross }];
+        if cfg.monitor_enabled {
+            timers.push(Timer { due: SimTime::ZERO, seq: 1, process: Process::Ping });
+            timers.push(Timer { due: SimTime::from_secs(5), seq: 2, process: Process::Control });
+        }
+        Testbed { timers, next_seq: 3, state }
     }
 
     /// A wired-Ethernet testbed (the paper's control experiments). No
@@ -256,7 +308,7 @@ impl Testbed {
             control_actions: 0,
             degraded_verdicts: 0,
         };
-        Testbed { sim: Sim::new(), state }
+        Testbed { timers: Vec::new(), next_seq: 0, state }
     }
 
     /// A cellular testbed (paper §3.3: phone on 4G, no monitor node).
@@ -272,47 +324,21 @@ impl Testbed {
             control_actions: 0,
             degraded_verdicts: 0,
         };
-        Testbed { sim: Sim::new(), state }
+        Testbed { timers: Vec::new(), next_seq: 0, state }
     }
 
-    fn schedule_processes(&mut self, monitor_enabled: bool) {
-        // Cross-traffic decision loop.
-        fn cross_tick(w: &mut TestbedState, sim: &mut Sim<TestbedState>) {
-            w.apply_utilization(sim.now());
-            let interval = w
-                .cross
-                .as_ref()
-                .map(|c| c.decision_interval())
-                .unwrap_or(SimDuration::from_secs(2));
-            sim.schedule_fn_in(interval, cross_tick);
-        }
-        self.sim.schedule_fn_at(SimTime::ZERO, cross_tick);
-
-        if monitor_enabled {
-            fn ping_tick(w: &mut TestbedState, sim: &mut Sim<TestbedState>) {
-                w.ping_once(sim.now());
-                let d = SimDuration::from_secs_f64(w.monitor_cfg.ping_interval_secs);
-                sim.schedule_fn_in(d, ping_tick);
-            }
-            fn control_tick(w: &mut TestbedState, sim: &mut Sim<TestbedState>) {
-                w.control_step(sim.now());
-                let d = SimDuration::from_secs_f64(w.monitor_cfg.control_interval_secs);
-                sim.schedule_fn_in(d, control_tick);
-            }
-            self.sim.schedule_fn_at(SimTime::ZERO, ping_tick);
-            self.sim
-                .schedule_fn_at(SimTime::from_secs(5), control_tick);
-        }
-    }
-
-    /// Advance the testbed's background processes to `t`.
+    /// Advance the testbed's background processes to `t`: fire every
+    /// timer due at or before `t`, earliest first and same-instant ties in
+    /// arming order, re-arming each one interval later.
     pub fn advance_to(&mut self, t: SimTime) {
-        self.sim.run_until(&mut self.state, t);
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
+        while let Some(timer) =
+            self.timers.iter_mut().filter(|x| x.due <= t).min_by_key(|x| (x.due, x.seq))
+        {
+            let interval = self.state.run(timer.process, timer.due);
+            timer.due += interval.max_zero();
+            timer.seq = self.next_seq;
+            self.next_seq += 1;
+        }
     }
 
     /// Wireless hints at `t` (advances background processes first).
@@ -460,9 +486,34 @@ mod tests {
     fn advance_is_monotone() {
         let mut tb = Testbed::wireless(TestbedConfig::default(), 9);
         tb.advance_to(SimTime::from_secs(100));
-        assert_eq!(tb.now(), SimTime::from_secs(100));
+        // Control steps at 5, 10, …, 100 s: the target instant is inclusive.
+        assert_eq!(tb.state.control_actions, 20);
         // Advancing to the past is a no-op, not a panic.
         tb.advance_to(SimTime::from_secs(50));
-        assert_eq!(tb.now(), SimTime::from_secs(100));
+        assert_eq!(tb.state.control_actions, 20);
+    }
+
+    #[test]
+    fn extra_advances_are_unobservable() {
+        // Timers fire on their own schedule, whatever instants the caller
+        // advances to in between. Extra targets, in ms before each probe:
+        // exact process instants (whole seconds ping, even seconds cross,
+        // multiples of 5 s control), instants between them, and instants
+        // before the previous probe.
+        let extra_ms: [&[i64]; 4] =
+            [&[4_000, 3_000, 0], &[9_000, 2_500, 500], &[5_000, 1_000, 1], &[12_000, 4_999]];
+        let mut plain = Testbed::wireless(TestbedConfig::default(), 10);
+        let mut poked = Testbed::wireless(TestbedConfig::default(), 10);
+        for (i, extra) in (1..=120i64).zip(extra_ms.iter().cycle()) {
+            let t_ms = i * 5_000;
+            for ms in extra.iter() {
+                poked.advance_to(SimTime::from_millis(t_ms - ms));
+            }
+            let t = SimTime::from_millis(t_ms);
+            assert_eq!(plain.hints(t), poked.hints(t), "hints at {t_ms} ms");
+            assert_eq!(plain.last_hop_down(t), poked.last_hop_down(t), "downlink at {t_ms} ms");
+        }
+        assert_eq!(plain.state.control_actions, poked.state.control_actions);
+        assert_eq!(plain.state.degraded_verdicts, poked.state.degraded_verdicts);
     }
 }

@@ -24,8 +24,6 @@
 //! * [`energy`] — the Balasubramanian-style radio energy model behind
 //!   the paper's §3.4 battery argument: joules per transfer including
 //!   ramp and tail costs.
-//! * [`retry`] — capped exponential backoff with deterministic jitter,
-//!   the pacing policy hardened clients use after failures.
 //! * [`select`] — Marzullo-style intersection plus the RFC 5905 §11.2
 //!   cluster/combine refinement: the falseticker-resilient selection
 //!   every multi-server client stack (ntpd-sim, the fleet's hardened
@@ -47,7 +45,6 @@ pub mod energy;
 pub mod exchange;
 pub mod fleet;
 pub mod pool;
-pub mod retry;
 pub mod select;
 pub mod server;
 pub mod server_core;
@@ -65,7 +62,6 @@ pub use exchange::{
 pub use pool::{
     HealthConfig, HealthTracker, PickLane, PoolConfig, ServerHealth, ServerPool, ServerSelect,
 };
-pub use retry::{Backoff, BackoffConfig};
 pub use select::{cluster, combine, select_survivors, PeerCandidate, MIN_SURVIVORS};
 pub use server::SimServer;
 pub use server_core::{CoreConfig, CoreStats, ReplyRing, RequestRing, ServerCore};

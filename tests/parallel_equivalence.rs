@@ -23,6 +23,14 @@ fn read_artifacts(dir: &Path, ids: &[&str]) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// FNV-1a-64 of an artifact body: pins its bytes across commits, which
+/// a serial-vs-parallel comparison within one build cannot do.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// One real figure pipeline through the `repro` orchestrator: the
 /// written artifact bytes must not depend on the worker count.
 #[test]
@@ -177,6 +185,7 @@ fn fleet_artifact_identical_serial_vs_parallel() {
     let serial = run_with(1, "serial");
     let parallel = run_with(8, "parallel");
     assert_eq!(serial[0].1, parallel[0].1, "fleet.txt differs between jobs=1 and jobs=8");
+    assert_eq!(fnv1a64(&serial[0].1), 0x0753_2732_79a0_29f8, "quick fleet.txt bytes changed");
 }
 
 /// The server-core ingest harness: its artifact folds in a lockstep
@@ -216,7 +225,7 @@ fn servercore_artifact_identical_serial_vs_parallel() {
     );
 }
 
-/// The sharded fleet runner itself: one trial's kernel shards ticked by
+/// The sharded fleet runner itself: one trial's shards ticked by
 /// one worker vs. many must agree on every statistic and on the raw
 /// server-side arrival log, byte for byte. (The artifact test above
 /// parallelizes across trials; this one parallelizes inside a trial.)
@@ -265,6 +274,11 @@ fn chaos_artifact_identical_serial_vs_parallel() {
     assert_eq!(
         serial[0].1, parallel[0].1,
         "chaosfleet.txt differs between jobs=1 and jobs=8"
+    );
+    assert_eq!(
+        fnv1a64(&serial[0].1),
+        0xc6f5_26d2_0e77_b300,
+        "quick chaosfleet.txt bytes changed"
     );
     let body = String::from_utf8_lossy(&serial[0].1).into_owned();
     assert!(
