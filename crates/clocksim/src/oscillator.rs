@@ -66,19 +66,6 @@ impl OscillatorConfig {
         }
     }
 
-    /// A disciplined server-grade source: negligible error. Used for the
-    /// simulated stratum servers' own clocks.
-    pub fn server_grade() -> Self {
-        OscillatorConfig {
-            skew_ppm: 0.0,
-            wander_sigma_ppm: 0.02,
-            wander_tau_secs: 3600.0,
-            temp_coeff_ppm_per_c: 0.0,
-            temp_ref_c: 25.0,
-            temperature: TemperatureProfile::room(),
-        }
-    }
-
     /// An ideal oscillator with zero error (for tests).
     pub fn perfect() -> Self {
         OscillatorConfig {

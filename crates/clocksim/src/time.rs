@@ -55,12 +55,6 @@ impl SimTime {
         let epoch_ns = NTP_EPOCH_OFFSET_SECONDS as i128 * 1_000_000_000;
         NtpTimestamp::from_era_nanos(epoch_ns + self.0 as i128)
     }
-
-    /// Saturating add: a far-future instant clamps at the end of
-    /// simulated time instead of wrapping.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -204,11 +198,5 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
         assert!(SimDuration::from_millis(-1).is_negative());
         assert_eq!(SimDuration::from_millis(-1).max_zero(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn saturating_add_never_wraps() {
-        let t = SimTime(i64::MAX - 5);
-        assert_eq!(t.saturating_add(SimDuration::from_secs(10)).0, i64::MAX);
     }
 }

@@ -138,12 +138,6 @@ impl TrendFilter {
         }
     }
 
-    /// Override the minimum accept band (ms² of squared error).
-    pub fn with_min_band_ms2(mut self, band: f64) -> Self {
-        self.min_band_ms2 = band;
-        self
-    }
-
     /// Number of accepted samples recorded.
     pub fn len(&self) -> usize {
         self.points.len()

@@ -23,7 +23,7 @@
 
 use std::hint::black_box;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime};
 
 /// Timing policy for one suite.
@@ -343,12 +343,6 @@ fn render_json(suite: &str, records: &[Record]) -> String {
     out
 }
 
-/// Verify the JSON writer on a fixed record (used by unit tests; public
-/// so integration tests can reuse it).
-pub fn render_json_for_test(suite: &str, records: &[Record]) -> String {
-    render_json(suite, records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,11 +453,6 @@ mod tests {
         // Exactly at the target: one iteration fills the sample.
         assert_eq!(calibrate_iters(0.05, 0.05), 1);
     }
-}
-
-/// Where a suite's report lands, for tools that read it back.
-pub fn report_path(out_dir: &Path, suite: &str) -> PathBuf {
-    out_dir.join(format!("BENCH_{suite}.json"))
 }
 
 /// One benchmark read back from a report written by [`Suite::finish`].

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p devtools --bin lint            # gate: exit 1 on findings
-//! cargo run --release -p devtools --bin lint -- --report  # print the allowlist audit
-//! cargo run --release -p devtools --bin lint -- --graph   # dump the workspace call graph
+//! cargo run --release -p devtools --bin lint -- --report  # suppression audit + call-graph summary
+//! cargo run --release -p devtools --bin lint -- --graph   # dump the full workspace call graph
 //! cargo run --release -p devtools --bin lint -- --format json
 //! cargo run --release -p devtools --bin lint -- --root DIR
 //! ```
@@ -88,7 +88,7 @@ fn main() -> ExitCode {
     }
 
     if report {
-        print!("{}", lint::report(out));
+        print!("{}", lint::report(&analysis));
         if !out.clean() {
             eprintln!("lint: {} finding(s) — report reflects the dirty tree", out.findings.len());
             return ExitCode::from(1);

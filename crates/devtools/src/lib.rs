@@ -7,7 +7,7 @@
 //!   replacement for `proptest`): generators over [`clocksim::SimRng`],
 //!   greedy counterexample shrinking, and the [`props!`],
 //!   [`prop_assert!`], [`prop_assert_eq!`] macros.
-//! - [`bench`] — a benchmark runner (the workspace's replacement for
+//! - [`bench`](mod@bench) — a benchmark runner (the workspace's replacement for
 //!   `criterion`): warmup, iteration calibration, mean/p50/p99 stats,
 //!   and machine-readable JSON reports under `results/bench/`.
 //! - [`par`] — a work-stealing thread pool (the workspace's replacement

@@ -1,6 +1,6 @@
 //! Workspace call-graph assembly.
 //!
-//! Takes every file's [`items::FileItems`] and builds one graph whose
+//! Takes every file's [`FileItems`] and builds one graph whose
 //! nodes are function definitions and whose edges are call sites,
 //! classified by how the callee was resolved (DESIGN.md §8):
 //!
@@ -650,27 +650,19 @@ impl SplitLastName for Vec<String> {
     }
 }
 
-/// Render the graph as the committed `results/lint_callgraph.txt`
-/// artifact: deterministic, sorted by node display path. Test nodes and
-/// edges into them are omitted (analyses skip them too).
+/// Render the full graph (`lint --graph`): deterministic, sorted by
+/// node display path. Test nodes and edges into them are omitted
+/// (analyses skip them too); [`summary`] condenses the same view.
 pub fn render(g: &Graph) -> String {
     let mut order: Vec<usize> = (0..g.nodes.len()).filter(|&i| !g.nodes[i].is_test).collect();
     order.sort_by(|&a, &b| {
         let (na, nb) = (&g.nodes[a], &g.nodes[b]);
         (na.display(), &na.file, na.line).cmp(&(nb.display(), &nb.file, nb.line))
     });
-    let (exact, approx, unres) = g.edge_counts();
     let mut s = String::new();
     s.push_str("# workspace call graph — regenerate with `cargo run -p devtools --bin lint -- --graph`\n");
     s.push_str("# `=` exact edge, `~` name/trait-approximate edge, `?` unresolved callees (std or external)\n");
-    s.push_str(&format!(
-        "# {} nodes ({} test nodes omitted), {} exact edges, {} approx edges, {} unresolved names\n",
-        order.len(),
-        g.nodes.len() - order.len(),
-        exact,
-        approx,
-        unres,
-    ));
+    s.push_str(&totals_line(g));
     for &i in &order {
         let n = &g.nodes[i];
         s.push_str(&format!("{} {}:{}\n", n.display(), n.file, n.line));
@@ -686,6 +678,59 @@ pub fn render(g: &Graph) -> String {
         if !g.unresolved[i].is_empty() {
             s.push_str(&format!("  ? {}\n", g.unresolved[i].join(" ")));
         }
+    }
+    s
+}
+
+/// The graph's totals, as the third line of [`render`].
+fn totals_line(g: &Graph) -> String {
+    let kept = g.nodes.iter().filter(|n| !n.is_test).count();
+    let (exact, approx, unres) = g.edge_counts();
+    format!(
+        "# {} nodes ({} test nodes omitted), {} exact edges, {} approx edges, {} unresolved names\n",
+        kept,
+        g.nodes.len() - kept,
+        exact,
+        approx,
+        unres,
+    )
+}
+
+/// Condense the graph for the committed `lint --report` artifact: the
+/// totals line of [`render`], one line per crate key (its non-test fns
+/// and their exact, approx and unresolved callee counts), then every
+/// distinct unresolved name, sorted. The rows and names leave out test
+/// nodes and edges into them, as [`render`]'s body does; the totals
+/// line, like [`render`]'s header, still counts the test nodes' edges.
+pub fn summary(g: &Graph) -> String {
+    // (fns, exact, approx, unresolved) per crate key.
+    let mut rows: BTreeMap<&str, (usize, usize, usize, usize)> = BTreeMap::new();
+    let mut names: BTreeSet<&str> = BTreeSet::new();
+    for (i, n) in g.nodes.iter().enumerate().filter(|(_, n)| !n.is_test) {
+        let row = rows.entry(n.krate.as_str()).or_default();
+        row.0 += 1;
+        for e in g.edges[i].iter().filter(|e| !g.nodes[e.to].is_test) {
+            match e.kind {
+                EdgeKind::Exact => row.1 += 1,
+                EdgeKind::Approx => row.2 += 1,
+            }
+        }
+        row.3 += g.unresolved[i].len();
+        names.extend(g.unresolved[i].iter().map(String::as_str));
+    }
+    let mut s = String::new();
+    s.push_str("# call-graph summary — the full graph prints with `cargo run -p devtools --bin lint -- --graph`\n");
+    s.push_str(&totals_line(g));
+    s.push_str(&format!(
+        "# {} crate key(s), test nodes and edges into them left out: fns, exact edges, approx edges, unresolved names\n",
+        rows.len()
+    ));
+    for (krate, (fns, exact, approx, unres)) in &rows {
+        s.push_str(&format!("{krate}: {fns} fn(s), {exact} exact, {approx} approx, {unres} unresolved\n"));
+    }
+    s.push_str(&format!("# {} distinct unresolved name(s)\n", names.len()));
+    for name in names {
+        s.push_str(&format!("? {name}\n"));
     }
     s
 }

@@ -16,7 +16,9 @@
 //! Per-site opt-outs use `// lint:allow(<name>) — <reason>` pragmas
 //! (covering that line and the next); per-path policy lives in
 //! `lint.toml` at the repo root. [`report`] renders the audit artifact
-//! committed as `results/lint_allowlist.txt`.
+//! committed as `results/lint_report.txt`: every suppression, then a
+//! per-crate summary of the call graph ([`graph::summary`]); the full
+//! graph prints on demand with `lint --graph` ([`graph::render`]).
 
 pub mod analysis;
 pub mod config;
@@ -99,12 +101,7 @@ pub struct Analysis {
 
 /// Load `lint.toml` from `root` (falling back to defaults when absent)
 /// and lint every configured file — token rules plus the workspace
-/// interprocedural pass.
-pub fn run(root: &Path) -> io::Result<Outcome> {
-    analyze(root).map(|a| a.outcome)
-}
-
-/// Like [`run`], but also returns the call graph.
+/// interprocedural pass — returning the findings and the call graph.
 pub fn analyze(root: &Path) -> io::Result<Analysis> {
     let cfg = load_config(root)?;
     let files = walk::rust_files(root, &cfg)?;
@@ -312,10 +309,12 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config, out: &mut Outcome) {
     out.allows.extend(a.outcome.allows);
 }
 
-/// Render the sorted `lint:allow` audit (the `--report` artifact). Every
-/// line is `file:line: lint — reason`, preceded by a count header, so
-/// allowlist growth shows up in review diffs.
-pub fn report(out: &Outcome) -> String {
+/// Render the `--report` artifact: the sorted `lint:allow` audit (every
+/// line `file:line: lint — reason`, preceded by a count header), then
+/// the [`graph::summary`], so allowlist growth and resolver drift both
+/// show up in review diffs.
+pub fn report(analysis: &Analysis) -> String {
+    let out = &analysis.outcome;
     let mut s = String::new();
     s.push_str("# lint:allow audit — regenerate with `cargo run -p devtools --bin lint -- --report`\n");
     let files: std::collections::BTreeSet<&str> =
@@ -328,5 +327,6 @@ pub fn report(out: &Outcome) -> String {
     for a in &out.allows {
         s.push_str(&format!("{}:{}: {} — {}\n", a.file, a.line, a.lint, a.reason));
     }
+    s.push_str(&graph::summary(&analysis.graph));
     s
 }

@@ -309,7 +309,7 @@ paths = ["crates/a/src", "{hot}"]
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     let msg = err.to_string();
     assert!(msg.contains("[panic] paths") && msg.contains("`crates/a/src/gone.rs`"), "{msg}");
-    assert!(lint::run(&root).is_err(), "the linter must refuse the stale policy");
+    assert!(lint::analyze(&root).is_err(), "the linter must refuse the stale policy");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -402,12 +402,13 @@ fn fixture_tokenizer_tricky_only_real_code_fires() {
 
 #[test]
 fn report_is_sorted_and_counts_suppressions() {
-    let mut out = Outcome::default();
-    let cfg = Config::fallback();
-    lint_source("b.rs", "// lint:allow(no-unordered-map) — b\nlet m = HashMap::new();\n", &cfg, &mut out);
-    lint_source("a.rs", "// lint:allow(no-wallclock) — a\nlet t = SystemTime::now();\n", &cfg, &mut out);
-    out.allows.sort_by(|x, y| (&x.file, x.line).cmp(&(&y.file, y.line)));
-    let rep = devtools::lint::report(&out);
+    let sources = [
+        ("b.rs", "// lint:allow(no-unordered-map) — b\nlet m = HashMap::new();\n"),
+        ("a.rs", "// lint:allow(no-wallclock) — a\nlet t = SystemTime::now();\n"),
+    ]
+    .map(|(rel, src)| (rel.to_string(), src.to_string()));
+    let analysis = analyze_sources(&sources, &Config::fallback(), &BTreeMap::new());
+    let rep = devtools::lint::report(&analysis);
     assert!(rep.starts_with("# lint:allow audit"));
     assert!(rep.contains("# 2 suppression(s) across 2 file(s)"));
     let a = rep.find("a.rs:1: no-wallclock — a").expect("a.rs line");
@@ -556,4 +557,75 @@ fn callgraph_wallclock_taint_fires_on_exact_cross_crate_edge() {
     cfg.skip.insert("no-wallclock".into(), vec!["fxwb/wall_b.rs".into()]);
     let a2 = analyze_sources(&sources, &cfg, &crates);
     assert!(a2.outcome.findings.is_empty(), "{:?}", a2.outcome.findings);
+}
+
+#[test]
+fn callgraph_summary_of_the_fixture_corpus_is_pinned() {
+    let mut crates = BTreeMap::new();
+    crates.insert("fxwa".to_string(), "fxwa".to_string());
+    crates.insert("fxwb".to_string(), "fxwb".to_string());
+    let mut sources = cg_sources(&[
+        ("fxchain/chain_entry.rs", "chain_entry.rs"),
+        ("fxchain/chain_mid.rs", "chain_mid.rs"),
+        ("fxchain/chain_deep.rs", "chain_deep.rs"),
+        ("fxpar/par_rng.rs", "par_rng.rs"),
+        ("fxart/taint_emit.rs", "taint_emit.rs"),
+        ("fxart/taint_maps.rs", "taint_maps.rs"),
+        ("fxwa/wall_a.rs", "wall_a.rs"),
+        ("fxwb/wall_b.rs", "wall_b.rs"),
+    ]);
+    let pinned = "\
+# call-graph summary — the full graph prints with `cargo run -p devtools --bin lint -- --graph`
+# 9 nodes (0 test nodes omitted), 4 exact edges, 0 approx edges, 22 unresolved names
+# 5 crate key(s), test nodes and edges into them left out: fns, exact edges, approx edges, unresolved names
+fxart: 2 fn(s), 1 exact, 0 approx, 8 unresolved
+fxchain: 3 fn(s), 2 exact, 0 approx, 0 unresolved
+fxpar: 2 fn(s), 0 exact, 0 approx, 9 unresolved
+fxwa: 1 fn(s), 1 exact, 0 approx, 0 unresolved
+fxwb: 1 fn(s), 0 exact, 0 approx, 5 unresolved
+# 19 distinct unresolved name(s)
+? .as_millis
+? .clone
+? .collect
+? .duration_since
+? .entry
+? .fork
+? .iter
+? .map
+? .next_u64
+? .or_insert
+? .push
+? .push_str
+? .to_string
+? .unwrap_or
+? .wrapping_add
+? String::new
+? par_map
+? std::collections::HashMap::new
+? std::time::SystemTime::now
+";
+    let a = analyze_sources(&sources, &Config::fallback(), &crates);
+    let summary = lint::graph::summary(&a.graph);
+    assert_eq!(summary, pinned);
+    // The totals line is `--graph`'s third header line.
+    assert_eq!(summary.lines().nth(1), lint::graph::render(&a.graph).lines().nth(2));
+
+    // A test node's own edges and names, and the approximate edge from
+    // `probe` into it, stay out of the rows and the name list; the
+    // totals line counts them, as `--graph`'s header does.
+    sources.push((
+        "fxchain/chain_tests.rs".to_string(),
+        "pub fn probe() -> f64 {\n    helper()\n}\n\n#[cfg(test)]\nmod tests {\n    \
+         pub fn helper() -> f64 {\n        f64::max(crate::chain_entry::poll_once(&[1.0]), 0.0)\n    \
+         }\n}\n"
+            .to_string(),
+    ));
+    let b = analyze_sources(&sources, &Config::fallback(), &crates);
+    let want = pinned
+        .replace(
+            "# 9 nodes (0 test nodes omitted), 4 exact edges, 0 approx edges, 22 unresolved names",
+            "# 10 nodes (1 test nodes omitted), 5 exact edges, 1 approx edges, 23 unresolved names",
+        )
+        .replace("fxchain: 3 fn(s)", "fxchain: 4 fn(s)");
+    assert_eq!(lint::graph::summary(&b.graph), want);
 }

@@ -12,7 +12,7 @@ use ntpd_sim::{HuffPuff, NtpdConfig, NtpdDiscipline};
 use sntp::vendor::{VendorAction, VendorClient, VendorPolicy};
 use sntp::perform_exchange;
 
-use crate::harness::{default_pool, sntp_run, ClockMode};
+use crate::harness::{default_pool, ClockMode};
 use crate::render;
 
 /// Result of the three-way clock-error comparison: each protocol
@@ -503,15 +503,6 @@ pub fn render_scenarios(rows: &[ScenarioRow]) -> String {
         &table_rows,
     ));
     out
-}
-
-/// Quick wired-vs-everything sanity series used by the repro binary.
-pub fn wired_baseline(seed: u64, duration: u64) -> Summary {
-    let mut tb = Testbed::wired(seed);
-    let mut pool = default_pool(seed + 1);
-    let mut clock = ClockMode::NtpCorrected.build(seed + 2);
-    let run = sntp_run(&mut tb, &mut pool, &mut clock, duration, 5.0);
-    Summary::of(&run.abs_offsets())
 }
 
 #[cfg(test)]

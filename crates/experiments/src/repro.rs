@@ -52,7 +52,7 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parse the binary's arguments (everything after argv[0]).
+    /// Parse the binary's arguments (everything after `argv[0]`).
     pub fn from_args(args: &[String]) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut it = args.iter();

@@ -9,8 +9,8 @@
 //! analysis heuristics can be *validated*, which the paper could not do
 //! with production traces.
 //!
-//! Two generators share one client model ([`draw_client_spec`] /
-//! [`emit_record`] / [`write_hostname`] are the common core):
+//! Two generators share one client model (`draw_client_spec` /
+//! `emit_record` / `write_hostname` are the common core):
 //!
 //! - [`generate_server_log`] — the original batch generator: materialize
 //!   the whole (scaled) day, sort it, return a [`ServerLog`]. Pinned
@@ -462,7 +462,7 @@ const CLIENT_MEMO_SLOTS: usize = 4096;
 /// Generate one chunk of one server's stream, pushing each record into
 /// `sink` in server receive-time order. Memory is bounded by the chunk:
 /// one `f64` arrival time per record, a fixed direct-mapped cache of at
-/// most [`CLIENT_MEMO_SLOTS`] client specs, and a single [`LogRecord`]
+/// most `CLIENT_MEMO_SLOTS` client specs, and a single [`LogRecord`]
 /// refilled in place for every record — no whole-day materialization
 /// and no global sort (concatenating chunks in index order is already
 /// globally sorted, because chunk `c` owns the day's `c`-th time window).

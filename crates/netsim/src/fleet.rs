@@ -57,7 +57,7 @@ use clocksim::time::{SimDuration, SimTime};
 use crate::admission::{Admission, Ladder, Rung};
 use crate::crosstraffic::{CrossTraffic, CrossTrafficConfig};
 use crate::lanes::{ChannelBank, Lane};
-use crate::wifi::{WifiConfig, WirelessHints};
+use crate::wifi::WifiConfig;
 
 /// Capacity and rate-limit policy of one simulated server.
 #[derive(Clone, Debug)]
@@ -347,11 +347,6 @@ impl FleetShard {
         self.bank.len()
     }
 
-    /// Whether global client id `client` lives in this shard.
-    pub fn contains(&self, client: usize) -> bool {
-        client >= self.lo && client - self.lo < self.bank.len()
-    }
-
     /// The lane of *global* client id `client`, or `None` when the id is
     /// outside this shard's range.
     pub fn lane(&mut self, client: usize) -> Option<Lane<'_>> {
@@ -398,32 +393,6 @@ impl FleetNet {
         FleetNet { shards, servers }
     }
 
-    /// Run background processes (cross-traffic decisions) on every shard
-    /// up to `t`.
-    pub fn advance_to(&mut self, t: SimTime) {
-        for shard in &mut self.shards {
-            shard.advance_to(t);
-        }
-    }
-
-    /// Cross-layer hints for one client's channel at `t`, advancing the
-    /// world first. `None` for an out-of-range client id.
-    pub fn hints(&mut self, client: usize, t: SimTime) -> Option<WirelessHints> {
-        self.advance_to(t);
-        let shard = self.shards.iter_mut().find(|s| s.contains(client))?;
-        shard.lane(client).map(|mut lane| lane.hints(t))
-    }
-
-    /// Simultaneous mutable access to one client's lane and one server's
-    /// service model (the two ends of an exchange). `None` if either id
-    /// is out of range.
-    pub fn lanes(&mut self, client: usize, server: usize) -> Option<(Lane<'_>, &mut ServerModel)> {
-        let server = self.servers.get_mut(server)?;
-        let shard = self.shards.iter_mut().find(|s| s.contains(client))?;
-        let lane = shard.lane(client)?;
-        Some((lane, server))
-    }
-
     /// Simultaneous mutable access to the shard array and the global
     /// server models — the split the epoch-barrier fleet runner needs to
     /// tick shards on parallel workers while serializing server-side
@@ -437,19 +406,9 @@ impl FleetNet {
         self.servers.get(server)
     }
 
-    /// Number of client channels across all shards.
-    pub fn client_count(&self) -> usize {
-        self.shards.iter().map(FleetShard::client_count).sum()
-    }
-
     /// Number of server models.
     pub fn server_count(&self) -> usize {
         self.servers.len()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -460,6 +419,17 @@ mod tests {
 
     fn secs(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
+    }
+
+    /// Client `client`'s lane as the fleet runners reach it: through
+    /// `parts()`, every shard advanced to `t`, then the owning shard's
+    /// lane. `None` for an id no shard owns.
+    fn lane_at(net: &mut FleetNet, client: usize, t: SimTime) -> Option<Lane<'_>> {
+        let (shards, _) = net.parts();
+        for shard in shards.iter_mut() {
+            shard.advance_to(t);
+        }
+        shards.iter_mut().find_map(|shard| shard.lane(client))
     }
 
     #[test]
@@ -574,10 +544,12 @@ mod tests {
         for step in 1..=20 {
             let t = secs(step as f64);
             for c in 0..5 {
-                assert_eq!(a.hints(c, t), b.hints(c, t), "client {c} step {step}");
+                let ha = lane_at(&mut a, c, t).map(|mut l| l.hints(t));
+                let hb = lane_at(&mut b, c, t).map(|mut l| l.hints(t));
+                assert_eq!(ha, hb, "client {c} step {step}");
             }
         }
-        // Extra `advance_to` calls are unobservable. Both worlds are
+        // Extra shard `advance_to` calls are unobservable. Both worlds are
         // probed every 5 s; the second is first advanced to extra targets,
         // in s before the probe: exact cross-traffic decision instants
         // (every 2 s), instants between them, and instants before the
@@ -588,11 +560,15 @@ mod tests {
         for (step, extra) in (1..=120).zip(extra_s.iter().cycle()) {
             let t_s = f64::from(step) * 5.0;
             for back in extra.iter() {
-                poked.advance_to(secs(t_s - back));
+                for shard in poked.parts().0.iter_mut() {
+                    shard.advance_to(secs(t_s - back));
+                }
             }
             let t = secs(t_s);
             for c in 0..5 {
-                assert_eq!(plain.hints(c, t), poked.hints(c, t), "client {c} at {t_s} s");
+                let hp = lane_at(&mut plain, c, t).map(|mut l| l.hints(t));
+                let hq = lane_at(&mut poked, c, t).map(|mut l| l.hints(t));
+                assert_eq!(hp, hq, "client {c} at {t_s} s");
             }
         }
     }
@@ -608,7 +584,9 @@ mod tests {
         for step in 1..=10 {
             let t = secs(step as f64);
             for c in 0..3 {
-                assert_eq!(a.hints(c, t), b.hints(c, t), "client {c} step {step}");
+                let ha = lane_at(&mut a, c, t).map(|mut l| l.hints(t));
+                let hb = lane_at(&mut b, c, t).map(|mut l| l.hints(t));
+                assert_eq!(ha, hb, "client {c} step {step}");
             }
         }
     }
@@ -621,28 +599,32 @@ mod tests {
         let mk = |shards| FleetConfig { clients: 7, servers: 2, shards, ..FleetConfig::default() };
         let mut a = FleetNet::new(&mk(1), 99);
         let mut b = FleetNet::new(&mk(3), 99);
-        assert_eq!(a.shard_count(), 1);
-        assert_eq!(b.shard_count(), 3);
-        assert_eq!(a.client_count(), b.client_count());
+        let sizes = |net: &mut FleetNet| -> Vec<usize> {
+            net.parts().0.iter().map(FleetShard::client_count).collect()
+        };
+        assert_eq!(sizes(&mut a), [7]);
+        assert_eq!(sizes(&mut b), [3, 2, 2]);
         for step in 1..=30usize {
             let t = secs(step as f64 * 0.7);
             for c in 0..7 {
-                assert_eq!(a.hints(c, t), b.hints(c, t), "hints client {c} step {step}");
+                let ha = lane_at(&mut a, c, t).map(|mut l| l.hints(t));
+                let hb = lane_at(&mut b, c, t).map(|mut l| l.hints(t));
+                assert_eq!(ha, hb, "hints client {c} step {step}");
             }
             let c = step % 7;
-            let (mut la, _) = a.lanes(c, 0).expect("lane");
-            let da = la.transmit_up(t);
-            let (mut lb, _) = b.lanes(c, 0).expect("lane");
-            assert_eq!(da, lb.transmit_up(t), "uplink client {c} step {step}");
+            let da = lane_at(&mut a, c, t).expect("lane").transmit_up(t);
+            let db = lane_at(&mut b, c, t).expect("lane").transmit_up(t);
+            assert_eq!(da, db, "uplink client {c} step {step}");
         }
     }
 
     #[test]
     fn shards_clamp_to_population() {
         let cfg = FleetConfig { clients: 3, servers: 1, shards: 16, ..FleetConfig::default() };
-        let net = FleetNet::new(&cfg, 5);
-        assert_eq!(net.shard_count(), 3);
-        assert_eq!(net.client_count(), 3);
+        let mut net = FleetNet::new(&cfg, 5);
+        let (shards, _) = net.parts();
+        let sizes: Vec<usize> = shards.iter().map(FleetShard::client_count).collect();
+        assert_eq!(sizes, [1, 1, 1]);
     }
 
     #[test]
@@ -770,11 +752,17 @@ mod tests {
 
     #[test]
     fn lanes_rejects_out_of_range() {
-        let cfg = FleetConfig { clients: 2, servers: 1, ..FleetConfig::default() };
+        // A shard has a lane exactly for the ids it owns. `None` is the
+        // path the fleet runner turns into a `Blackholed` exchange.
+        let cfg = FleetConfig { clients: 7, servers: 1, shards: 3, ..FleetConfig::default() };
         let mut net = FleetNet::new(&cfg, 1);
-        assert!(net.lanes(0, 0).is_some());
-        assert!(net.lanes(2, 0).is_none());
-        assert!(net.lanes(0, 1).is_none());
+        let (shards, _) = net.parts();
+        for shard in shards.iter_mut() {
+            let owned = shard.client_lo()..shard.client_lo() + shard.client_count();
+            for id in 0..10 {
+                assert_eq!(shard.lane(id).is_some(), owned.contains(&id), "id {id}, shard {owned:?}");
+            }
+        }
     }
 }
 

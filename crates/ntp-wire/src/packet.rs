@@ -213,9 +213,8 @@ pub(crate) fn get_u64_be(buf: &[u8], at: usize) -> u64 {
 impl NtpPacket {
     /// Serialize into a fresh 48-byte vector — a thin wrapper over
     /// [`NtpPacket::to_bytes`] for callers that want an owned buffer.
-    /// Hot paths should use [`NtpPacket::serialize_into`] (write into a
-    /// preallocated arena) or [`NtpPacket::to_bytes`] (stack array)
-    /// instead; both are allocation-free.
+    /// Allocation-free callers use [`NtpPacket::to_bytes`] (stack array)
+    /// or [`NtpPacket::write_bytes`] (caller's buffer) instead.
     pub fn serialize(&self) -> Vec<u8> {
         self.to_bytes().to_vec()
     }
@@ -226,23 +225,6 @@ impl NtpPacket {
         let mut buf = [0u8; PACKET_LEN];
         self.write_bytes(&mut buf);
         buf
-    }
-
-    /// Encode into the first 48 bytes of a caller-provided buffer
-    /// without allocating; bytes past [`PACKET_LEN`] are untouched.
-    /// Fails (writing nothing) when the buffer is too short.
-    #[inline]
-    pub fn serialize_into(&self, buf: &mut [u8]) -> Result<(), WireError> {
-        let have = buf.len();
-        let head: Option<&mut [u8; PACKET_LEN]> =
-            buf.get_mut(..PACKET_LEN).and_then(|s| s.try_into().ok());
-        match head {
-            Some(arr) => {
-                self.write_bytes(arr);
-                Ok(())
-            }
-            None => Err(WireError::Truncated { have, need: PACKET_LEN }),
-        }
     }
 
     /// Encode into a caller-provided 48-byte buffer (no allocation).
@@ -454,29 +436,6 @@ mod tests {
         let mut buf = [0u8; PACKET_LEN];
         sample().write_bytes(&mut buf);
         assert_eq!(buf.to_vec(), sample().serialize());
-    }
-
-    #[test]
-    fn serialize_into_matches_serialize_and_spares_the_tail() {
-        let p = sample();
-        // Exactly 48 bytes.
-        let mut exact = [0u8; PACKET_LEN];
-        p.serialize_into(&mut exact).unwrap();
-        assert_eq!(exact.to_vec(), p.serialize());
-        // A longer arena slot: the 16 trailing bytes must survive.
-        let mut arena = [0xAAu8; PACKET_LEN + 16];
-        p.serialize_into(&mut arena).unwrap();
-        assert_eq!(arena[..PACKET_LEN].to_vec(), p.serialize());
-        assert_eq!(arena[PACKET_LEN..], [0xAAu8; 16]);
-    }
-
-    #[test]
-    fn serialize_into_short_buffer_rejected_untouched() {
-        let p = sample();
-        let mut short = [0x55u8; PACKET_LEN - 1];
-        let err = p.serialize_into(&mut short).unwrap_err();
-        assert_eq!(err, WireError::Truncated { have: PACKET_LEN - 1, need: PACKET_LEN });
-        assert_eq!(short, [0x55u8; PACKET_LEN - 1], "failed write must not scribble");
     }
 
     #[test]

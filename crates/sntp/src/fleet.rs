@@ -254,7 +254,9 @@ mod tests {
         SimClock::new(osc, SimTime::ZERO)
     }
 
-    /// The three phases back to back for fleet client `client_id`.
+    /// The three phases back to back for fleet client `client_id`, with
+    /// its lane and server 0's model reached as the fleet runners reach
+    /// them: through `parts()`, every shard advanced to `t`.
     fn round_trip(
         net: &mut FleetNet,
         server: &mut SimServer,
@@ -263,7 +265,13 @@ mod tests {
         t: SimTime,
         shape: RequestShape,
     ) -> (Option<FleetArrival>, Result<CompletedExchange, ExchangeError>) {
-        let (mut lane, model) = net.lanes(client_id as usize, 0).expect("lane");
+        let (shards, models) = net.parts();
+        for shard in shards.iter_mut() {
+            shard.advance_to(t);
+        }
+        let mut lane =
+            shards.iter_mut().find_map(|s| s.lane(client_id as usize)).expect("lane");
+        let model = models.first_mut().expect("server model 0");
         let mut inflight = match begin_fleet_exchange(&mut lane, clock, client_id, t, shape) {
             Ok(f) => f,
             Err(e) => return (None, Err(e)),
@@ -289,7 +297,6 @@ mod tests {
     fn fleet_exchange_yields_sample_and_arrival() {
         let (mut net, mut pool, mut clock) = setup();
         let t = SimTime::from_secs(5);
-        net.advance_to(t);
         let (arrival, outcome) =
             round_trip(&mut net, pool.server_mut(0), &mut clock, 0, t, RequestShape::Sntp);
         let arrival = arrival.expect("request should reach the server");
@@ -308,7 +315,6 @@ mod tests {
     fn ntpd_shape_classifies_as_full_ntp_and_still_validates() {
         let (mut net, mut pool, mut clock) = setup();
         let t = SimTime::from_secs(5);
-        net.advance_to(t);
         let (arrival, outcome) =
             round_trip(&mut net, pool.server_mut(0), &mut clock, 1, t, RequestShape::Ntpd);
         let parsed = NtpPacket::parse(&arrival.expect("arrival").request).unwrap();
@@ -332,7 +338,6 @@ mod tests {
         let mut net = FleetNet::new(&cfg, 21);
         let mut pool = ServerPool::new(PoolConfig { size: 1, ..PoolConfig::default() }, 22);
         let t = SimTime::from_secs(3);
-        net.advance_to(t);
         let mut dropped = 0;
         let mut ok = 0;
         for c in 0..8u32 {

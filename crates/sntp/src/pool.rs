@@ -84,7 +84,9 @@ impl Default for PoolConfig {
 /// A population of simulated pool servers.
 pub struct ServerPool {
     servers: Vec<SimServer>,
-    rng: SimRng,
+    /// Uniform selection over `servers`, drawing from the pool seed's
+    /// stream where server construction left it.
+    select: PickLane,
 }
 
 impl ServerPool {
@@ -116,7 +118,8 @@ impl ServerPool {
             let down = mk_link(&mut rng);
             servers.push(SimServer::with_error_ms(id, error_ms, (up, down), &mut rng));
         }
-        ServerPool { servers, rng }
+        let select = PickLane { rng, servers: servers.len() };
+        ServerPool { servers, select }
     }
 
     /// Number of servers.
@@ -132,20 +135,16 @@ impl ServerPool {
     /// Pick a uniformly random server (a fresh DNS resolution of
     /// `N.pool.ntp.org`), returning its index.
     pub fn pick(&mut self) -> usize {
-        self.rng.index(self.servers.len())
+        self.select.pick()
     }
 
     /// Pick `n` *distinct* random servers — what querying
     /// `0/1/3.pool.ntp.org` in parallel yields.
     pub fn pick_distinct(&mut self, n: usize) -> Vec<usize> {
-        let n = n.min(self.servers.len());
-        let mut ids: Vec<usize> = (0..self.servers.len()).collect();
-        self.rng.shuffle(&mut ids);
-        ids.truncate(n);
-        ids
+        self.select.pick_distinct(n)
     }
 
-    /// Access a server by index. Panics (via [`foreign_id`]) on an id
+    /// Access a server by index. Panics (via `foreign_id`) on an id
     /// this pool never issued.
     pub fn server_mut(&mut self, id: usize) -> &mut SimServer {
         ServerId(id).resolve_mut(&mut self.servers, "ServerPool::server_mut")
@@ -207,9 +206,9 @@ impl ServerSelect for ServerPool {
     }
 }
 
-/// A per-client server-selection lane: the same uniform pick /
-/// distinct-shuffle draws as [`ServerPool`], from a private RNG stream,
-/// over a server index space owned elsewhere.
+/// A server-selection lane: uniform pick / distinct-shuffle draws from
+/// a private RNG stream over a server index space owned elsewhere. Each
+/// fleet client owns one; a [`ServerPool`] holds one over its servers.
 #[derive(Clone, Debug)]
 pub struct PickLane {
     rng: SimRng,

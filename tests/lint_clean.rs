@@ -2,7 +2,7 @@
 //! `scripts/ci.sh` runs via the `lint` binary, asserted in-process so
 //! `cargo test` alone catches a regression. Also proves the tool is not
 //! vacuous: the deliberately-bad fixture corpus must light up every
-//! lint class, and the committed allowlist audit must be fresh.
+//! lint class, and the committed `--report` artifact must be fresh.
 
 use std::path::Path;
 
@@ -14,7 +14,7 @@ fn repo_root() -> &'static Path {
 
 #[test]
 fn workspace_lints_clean() {
-    let out = lint::run(repo_root()).expect("lint walk succeeds");
+    let out = lint::analyze(repo_root()).expect("lint walk succeeds").outcome;
     assert!(out.files_scanned > 100, "walker saw only {} files", out.files_scanned);
     let rendered: Vec<String> = out.findings.iter().map(|f| f.to_string()).collect();
     assert!(out.clean(), "lint findings:\n{}", rendered.join("\n"));
@@ -88,29 +88,15 @@ fn workspace_panic_clean_from_every_entry_point() {
 }
 
 #[test]
-fn committed_callgraph_artifact_is_fresh() {
-    let a = lint::analyze(repo_root()).expect("lint walk succeeds");
-    let want = lint::graph::render(&a.graph);
-    let path = repo_root().join("results/lint_callgraph.txt");
-    let got = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    assert_eq!(
-        got, want,
-        "results/lint_callgraph.txt is stale — regenerate with \
-         `cargo run --release -p devtools --bin lint -- --graph > results/lint_callgraph.txt`"
-    );
-}
-
-#[test]
 fn committed_allowlist_audit_is_fresh() {
-    let out = lint::run(repo_root()).expect("lint walk succeeds");
-    let want = lint::report(&out);
-    let path = repo_root().join("results/lint_allowlist.txt");
+    let a = lint::analyze(repo_root()).expect("lint walk succeeds");
+    let want = lint::report(&a);
+    let path = repo_root().join("results/lint_report.txt");
     let got = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     assert_eq!(
         got, want,
-        "results/lint_allowlist.txt is stale — regenerate with \
-         `cargo run --release -p devtools --bin lint -- --report > results/lint_allowlist.txt`"
+        "results/lint_report.txt is stale — regenerate with \
+         `cargo run --release -p devtools --bin lint -- --report > results/lint_report.txt`"
     );
 }
