@@ -85,7 +85,7 @@ fn bench_select(s: &mut Suite) {
 fn bench_par_pool(s: &mut Suite) {
     use devtools::par::Pool;
     // Dispatch overhead: near-trivial tasks, so the measurement is the
-    // pool machinery (deque setup, thread spawn, steal, reassembly) and
+    // pool machinery (thread spawn, queue locking, the sort by index) and
     // not the work. jobs=1 is the inline serial path (the floor).
     let items: Vec<u64> = (0..256).collect();
     s.bench("par_map_256_trivial_jobs1", |b| {

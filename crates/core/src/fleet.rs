@@ -447,21 +447,15 @@ fn run_fleet_impl(
             let series_chunks = chunk_by(&mut run.true_error_ms, &lens);
             let steady_chunks = chunk_by(&mut run.steady_abs_ms, &lens);
             let mut latch_iter = client_latches.iter_mut();
-            let tasks: Vec<Box<dyn FnOnce() -> TickOut + Send + '_>> = shards
+            let work: Vec<_> = shards
                 .iter_mut()
                 .zip(client_chunks)
                 .zip(series_chunks.into_iter().zip(steady_chunks))
-                .map(|((shard, cl), (se, st))| {
-                    let cfg = &*cfg;
-                    let latch = latch_iter.next();
-                    Box::new(move || {
-                        shard_poll_phase(
-                            shard, cl, se, st, t, sample_due, cfg, server_count, plan, latch,
-                        )
-                    }) as Box<dyn FnOnce() -> TickOut + Send + '_>
-                })
+                .map(|((shard, cl), (se, st))| (shard, cl, se, st, latch_iter.next()))
                 .collect();
-            par.invoke(tasks)
+            par.map(work, |(shard, cl, se, st, latch)| {
+                shard_poll_phase(shard, cl, se, st, t, sample_due, cfg, server_count, plan, latch)
+            })
         };
 
         // Chaos server events for this tick, serially by server id:
@@ -540,21 +534,17 @@ fn run_fleet_impl(
             let client_chunks = chunk_by(clients, &lens);
             let series_chunks = chunk_by(&mut run.true_error_ms, &lens);
             let steady_chunks = chunk_by(&mut run.steady_abs_ms, &lens);
-            let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = shards
+            let work: Vec<_> = shards
                 .iter_mut()
                 .zip(client_chunks)
                 .zip(series_chunks.into_iter().zip(steady_chunks))
                 .zip(outs)
-                .map(|(((shard, cl), (se, st)), out)| {
-                    let cfg = &*cfg;
-                    Box::new(move || {
-                        shard_complete_phase(
-                            shard, cl, se, st, out.rounds, t, sample_due, cfg, plan,
-                        )
-                    }) as Box<dyn FnOnce() -> u64 + Send + '_>
-                })
+                .map(|(((shard, cl), (se, st)), out)| (shard, cl, se, st, out.rounds))
                 .collect();
-            run.chaos_dropped_down += par.invoke(tasks).into_iter().sum::<u64>();
+            let dropped = par.map(work, |(shard, cl, se, st, rounds)| {
+                shard_complete_phase(shard, cl, se, st, rounds, t, sample_due, cfg, plan)
+            });
+            run.chaos_dropped_down += dropped.into_iter().sum::<u64>();
         }
 
         // Group quantiles: a serial pass in global client-id order, so

@@ -4,31 +4,32 @@
 //! cargo run --release -p devtools --bin lint            # gate: exit 1 on findings
 //! cargo run --release -p devtools --bin lint -- --report  # suppression audit + call-graph summary
 //! cargo run --release -p devtools --bin lint -- --graph   # dump the full workspace call graph
-//! cargo run --release -p devtools --bin lint -- --format json
 //! cargo run --release -p devtools --bin lint -- --root DIR
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
+//! Exit codes: 0 clean, 1 findings, 2 usage/configuration error or a
+//! failed write to stdout. A reader that stops early (`lint --graph |
+//! head`) is not a failure: the output stops and the exit code is the
+//! run's own.
 
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use devtools::lint;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Write `text` to `w` (locked stdout in `main`) and return `code`, the
+/// run's exit code. A closed pipe ends the output quietly with that
+/// code; any other write error is reported and exits 2.
+fn print_out(w: &mut impl Write, text: &str, code: u8) -> u8 {
+    match w.write_all(text.as_bytes()).and_then(|()| w.flush()) {
+        Ok(()) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            eprintln!("lint: writing stdout: {e}");
+            2
         }
     }
-    out
 }
 
 fn main() -> ExitCode {
@@ -36,24 +37,12 @@ fn main() -> ExitCode {
     let mut report = false;
     let mut quiet = false;
     let mut dump_graph = false;
-    let mut format = "text".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--report" => report = true,
             "--quiet" => quiet = true,
             "--graph" => dump_graph = true,
-            "--format" => match args.next() {
-                Some(f) if f == "text" || f == "json" => format = f,
-                Some(f) => {
-                    eprintln!("--format must be `text` or `json`, got `{f}`");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--format requires an argument (text|json)");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => {
@@ -63,7 +52,7 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: lint [--root DIR] [--report] [--graph] [--format text|json] [--quiet]");
+                eprintln!("usage: lint [--root DIR] [--report] [--graph] [--quiet]");
                 return ExitCode::from(2);
             }
         }
@@ -77,61 +66,61 @@ fn main() -> ExitCode {
         }
     };
     let out = &analysis.outcome;
+    let code = if out.clean() { 0 } else { 1 };
 
-    if dump_graph {
-        print!("{}", lint::graph::render(&analysis.graph));
-        if !out.clean() {
-            eprintln!("lint: {} finding(s) — graph reflects the dirty tree", out.findings.len());
-            return ExitCode::from(1);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if report {
-        print!("{}", lint::report(&analysis));
-        if !out.clean() {
-            eprintln!("lint: {} finding(s) — report reflects the dirty tree", out.findings.len());
-            return ExitCode::from(1);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if format == "json" {
-        println!("[");
-        for (i, f) in out.findings.iter().enumerate() {
-            let comma = if i + 1 < out.findings.len() { "," } else { "" };
-            println!(
-                "  {{\"file\":\"{}\",\"line\":{},\"col\":{},\"lint\":\"{}\",\"message\":\"{}\"}}{}",
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(&f.lint),
-                json_escape(&f.message),
-                comma,
-            );
-        }
-        println!("]");
+    let text = if dump_graph {
+        lint::graph::render(&analysis.graph)
+    } else if report {
+        lint::report(&analysis)
     } else {
-        for f in &out.findings {
-            println!("{f}");
+        out.findings.iter().map(|f| format!("{f}\n")).collect()
+    };
+    let code = print_out(&mut std::io::stdout().lock(), &text, code);
+    if dump_graph || report {
+        if !out.clean() {
+            let what = if dump_graph { "graph" } else { "report" };
+            eprintln!("lint: {} finding(s) — {what} reflects the dirty tree", out.findings.len());
         }
-    }
-    if !quiet {
+    } else if !quiet {
+        let fns = analysis.graph.nodes.iter().filter(|n| !n.is_test).count();
         let (exact, approx, unres) = analysis.graph.edge_counts();
         eprintln!(
             "lint: {} file(s), {} finding(s), {} suppression(s); graph: {} fn(s), {} exact + {} approx edge(s), {} unresolved name(s)",
             out.files_scanned,
             out.findings.len(),
             out.allows.len(),
-            analysis.graph.nodes.len(),
+            fns,
             exact,
             approx,
             unres,
         );
     }
-    if out.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+    ExitCode::from(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer whose every write fails with the wrapped kind.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_keeps_the_runs_exit_code() {
+        assert_eq!(print_out(&mut Failing(ErrorKind::BrokenPipe), "a\nb\n", 0), 0);
+        assert_eq!(print_out(&mut Failing(ErrorKind::BrokenPipe), "a\nb\n", 1), 1);
+        assert_eq!(print_out(&mut Failing(ErrorKind::PermissionDenied), "a\n", 0), 2);
+        let mut sink = Vec::new();
+        assert_eq!(print_out(&mut sink, "a\nb\n", 1), 1);
+        assert_eq!(sink, b"a\nb\n");
     }
 }

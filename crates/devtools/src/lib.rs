@@ -10,10 +10,10 @@
 //! - [`bench`](mod@bench) — a benchmark runner (the workspace's replacement for
 //!   `criterion`): warmup, iteration calibration, mean/p50/p99 stats,
 //!   and machine-readable JSON reports under `results/bench/`.
-//! - [`par`] — a work-stealing thread pool (the workspace's replacement
-//!   for `rayon`): per-worker deques plus a global injector over scoped
-//!   `std::thread`s, exposing an order-preserving [`par::Pool::map`]
-//!   whose output is bit-identical to the serial loop.
+//! - [`par`] — a thread pool (the workspace's replacement for `rayon`):
+//!   scoped `std::thread`s draining one shared queue, exposing an
+//!   order-preserving [`par::Pool::map`] whose output is bit-identical
+//!   to the serial loop.
 //! - [`sketch`] — deterministic mergeable one-pass summaries (the
 //!   workspace's replacement for a streaming-quantiles crate): a
 //!   Munro–Paterson-style quantile sketch with bounded rank error plus
@@ -34,6 +34,6 @@ pub mod par;
 pub mod prop;
 pub mod sketch;
 
-pub use par::{par_map, Pool};
+pub use par::Pool;
 pub use prop::{Config, Counterexample, Gen, PropFail, PropResult};
 pub use sketch::{percentile_nearest_rank, Moments, QuantileSketch};

@@ -100,12 +100,29 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// (exact, approx, unresolved-name) totals.
+    /// (exact, approx, unresolved-name) totals of the graph [`render`]
+    /// prints: test nodes and edges into them are left out.
     pub fn edge_counts(&self) -> (usize, usize, usize) {
-        let exact = self.edges.iter().flatten().filter(|e| e.kind == EdgeKind::Exact).count();
-        let approx = self.edges.iter().flatten().filter(|e| e.kind == EdgeKind::Approx).count();
-        let unres = self.unresolved.iter().map(Vec::len).sum();
-        (exact, approx, unres)
+        let mut totals = (0, 0, 0);
+        for i in (0..self.nodes.len()).filter(|&i| !self.nodes[i].is_test) {
+            let (exact, approx, unres) = self.node_counts(i);
+            totals = (totals.0 + exact, totals.1 + approx, totals.2 + unres);
+        }
+        totals
+    }
+
+    /// Node `i`'s (exact, approx, unresolved-name) counts, edges into
+    /// test nodes left out: the one counter behind [`Graph::edge_counts`]
+    /// and [`summary`]'s rows.
+    fn node_counts(&self, i: usize) -> (usize, usize, usize) {
+        let mut counts = (0, 0, self.unresolved[i].len());
+        for e in self.edges[i].iter().filter(|e| !self.nodes[e.to].is_test) {
+            match e.kind {
+                EdgeKind::Exact => counts.0 += 1,
+                EdgeKind::Approx => counts.1 += 1,
+            }
+        }
+        counts
     }
 
     /// Node index for a (file, line) position — the innermost function
@@ -699,23 +716,16 @@ fn totals_line(g: &Graph) -> String {
 /// Condense the graph for the committed `lint --report` artifact: the
 /// totals line of [`render`], one line per crate key (its non-test fns
 /// and their exact, approx and unresolved callee counts), then every
-/// distinct unresolved name, sorted. The rows and names leave out test
-/// nodes and edges into them, as [`render`]'s body does; the totals
-/// line, like [`render`]'s header, still counts the test nodes' edges.
+/// distinct unresolved name, sorted. Like [`render`], every part leaves
+/// out test nodes and edges into them, so the rows sum to the totals.
 pub fn summary(g: &Graph) -> String {
     // (fns, exact, approx, unresolved) per crate key.
     let mut rows: BTreeMap<&str, (usize, usize, usize, usize)> = BTreeMap::new();
     let mut names: BTreeSet<&str> = BTreeSet::new();
     for (i, n) in g.nodes.iter().enumerate().filter(|(_, n)| !n.is_test) {
+        let (exact, approx, unres) = g.node_counts(i);
         let row = rows.entry(n.krate.as_str()).or_default();
-        row.0 += 1;
-        for e in g.edges[i].iter().filter(|e| !g.nodes[e.to].is_test) {
-            match e.kind {
-                EdgeKind::Exact => row.1 += 1,
-                EdgeKind::Approx => row.2 += 1,
-            }
-        }
-        row.3 += g.unresolved[i].len();
+        *row = (row.0 + 1, row.1 + exact, row.2 + approx, row.3 + unres);
         names.extend(g.unresolved[i].iter().map(String::as_str));
     }
     let mut s = String::new();

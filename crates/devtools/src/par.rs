@@ -1,4 +1,4 @@
-//! A deterministic work-stealing thread pool for the simulation fleet.
+//! A deterministic thread pool for the simulation fleet.
 //!
 //! Discrete-event time-sync experiments are embarrassingly parallel
 //! across independent seeded trials: every figure, ablation arm, tuner
@@ -12,52 +12,29 @@
 //! > is byte-for-byte the same `Vec` the serial loop would produce, for
 //! > any worker count and any interleaving.
 //!
-//! ## Topology
+//! ## Scheduling
 //!
-//! Work is indexed `0..n`. Each worker owns a deque seeded with a
-//! contiguous chunk of indices; a global injector holds the remainder
-//! when `n` does not divide evenly. Owners pop from the *front* of
-//! their deque (ascending indices — the same locality the serial loop
-//! has); an idle worker first drains the injector, then steals the
-//! *back half* of a victim's deque, scanning victims in a fixed
-//! rotation from its own id. One slow item therefore delays only
-//! itself: the remaining indices migrate to whoever is idle, unlike
-//! one-shot chunking where a slow chunk idles its whole thread.
+//! One shared queue: the input's `enumerate()` behind a mutex. A worker
+//! holds the lock only to take the next `(index, item)` and runs the
+//! item outside it, so one slow item delays only itself while the other
+//! workers drain the rest. The results are sorted back by index. Every
+//! caller hands the pool a few dozen coarse trials at most, so one lock
+//! per item is noise next to the work.
 //!
 //! ## Worker count
 //!
 //! [`Pool::from_env`] honors the `MNTP_JOBS` environment variable and
 //! falls back to [`std::thread::available_parallelism`]. `jobs = 1` (or
-//! a single item) runs the serial loop inline on the caller's thread —
-//! no threads are spawned, so `MNTP_JOBS=1` *is* the serial baseline
+//! at most one item) runs the serial loop inline on the caller's thread
+//! — no threads are spawned, so `MNTP_JOBS=1` *is* the serial baseline
 //! the equivalence tests compare against.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-/// Recover a guard even when another worker panicked while holding the
-/// lock: every mutex in this module protects plain index/item storage
-/// that stays structurally valid across a poisoned lock, and the
-/// worker's own panic still propagates through [`Pool::execute`]'s join.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The pool's single panic site: index bookkeeping broke. `execute`
-/// hands out each index in `0..n` exactly once, so the checked
-/// accessors that funnel here are unreachable unless the dispatch
-/// logic itself is wrong.
-#[cold]
-#[inline(never)]
-fn pool_invariant(what: &str) -> ! {
-    // lint:allow(no-panic) — the pool's one audited invariant failure: execute() hands out each index in 0..n exactly once, so the checked accessors funneling here are unreachable
-    panic!("devtools::par invariant violated: {what}")
-}
-
-/// A work-stealing pool handle: just a worker count plus the dispatch
-/// machinery. Workers are scoped `std::thread`s spawned per call (the
-/// tasks may borrow from the caller's stack), so a `Pool` is cheap to
-/// construct and carries no OS resources while idle.
+/// A pool handle: just a worker count. Workers are scoped
+/// `std::thread`s spawned per call (the tasks may borrow from the
+/// caller's stack), so a `Pool` is cheap to construct and carries no OS
+/// resources while idle.
 #[derive(Clone, Copy, Debug)]
 pub struct Pool {
     jobs: usize,
@@ -70,9 +47,18 @@ impl Pool {
     }
 
     /// A pool sized from the environment: `MNTP_JOBS` if set to a
-    /// positive integer, otherwise [`std::thread::available_parallelism`].
+    /// positive integer, otherwise [`std::thread::available_parallelism`]
+    /// (and 1 if even that fails).
     pub fn from_env() -> Pool {
-        Pool::with_jobs(jobs_from_env())
+        if let Ok(v) = std::env::var("MNTP_JOBS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                if n >= 1 {
+                    return Pool::with_jobs(n);
+                }
+            }
+            eprintln!("warning: ignoring invalid MNTP_JOBS={v:?} (want a positive integer)");
+        }
+        Pool::with_jobs(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 
     /// The worker count this pool dispatches over.
@@ -89,17 +75,44 @@ impl Pool {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let n = items.len();
-        if self.jobs == 1 || n <= 1 {
+        if self.jobs == 1 || items.len() <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.execute(n, |i| {
-            match slots.get(i).and_then(|s| lock_clean(s).take()) {
-                Some(item) => f(item),
-                None => pool_invariant("map: slot out of bounds or taken twice"),
-            }
-        })
+        let workers = self.jobs.min(items.len());
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let (queue, f) = (&queue, &f);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        loop {
+                            // The guard drops at the end of this
+                            // statement: the item runs unlocked. Only
+                            // `next()` runs under the lock and it cannot
+                            // panic, so a poisoned lock is still whole.
+                            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some((i, item)) = next else { break };
+                            out.push((i, f(item)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| match h.join() {
+                    Ok(out) => out,
+                    // Re-raise the worker's own payload so callers see
+                    // the original panic, not a pool-flavored wrapper.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        // Output order is input order, whichever worker ran what: this
+        // is the bit-identical guarantee.
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Order-preserving map over borrowed items.
@@ -109,35 +122,18 @@ impl Pool {
         R: Send,
         F: Fn(&'a T) -> R + Sync,
     {
-        if self.jobs == 1 || items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        self.execute(items.len(), |i| match items.get(i) {
-            Some(item) => f(item),
-            None => pool_invariant("map_ref: index out of bounds"),
-        })
+        self.map(items.iter().collect(), f)
     }
 
     /// Run a set of *heterogeneous* one-shot tasks (each its own boxed
     /// closure) and return their results in task order. This is the
     /// fan-out used by `repro`, where every figure pipeline is a
-    /// different closure type.
+    /// different closure type; same-typed work calls [`Pool::map`].
     pub fn invoke<'scope, R: Send>(
         &self,
         tasks: Vec<Box<dyn FnOnce() -> R + Send + 'scope>>,
     ) -> Vec<R> {
-        let n = tasks.len();
-        if self.jobs == 1 || n <= 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-        let slots: Vec<Mutex<Option<Box<dyn FnOnce() -> R + Send + 'scope>>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.execute(n, |i| {
-            match slots.get(i).and_then(|s| lock_clean(s).take()) {
-                Some(task) => task(),
-                None => pool_invariant("invoke: slot out of bounds or taken twice"),
-            }
-        })
+        self.map(tasks, |task| task())
     }
 
     /// Run two closures, potentially in parallel, returning both results.
@@ -160,133 +156,6 @@ impl Pool {
             }
         })
     }
-
-    /// The work-stealing engine: evaluate `task(i)` for every
-    /// `i in 0..n` and return results in index order. `task` must be
-    /// safe to call from any worker, once per index.
-    fn execute<R, F>(&self, n: usize, task: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.jobs.min(n);
-        // Seed each worker's deque with a contiguous chunk; the
-        // remainder (n % workers indices) goes to the global injector.
-        let chunk = n / workers;
-        let mut deques: Vec<Mutex<VecDeque<usize>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            deques.push(Mutex::new((w * chunk..(w + 1) * chunk).collect()));
-        }
-        let injector: Mutex<VecDeque<usize>> = Mutex::new((workers * chunk..n).collect());
-        let task = &task;
-        let deques = &deques;
-        let injector = &injector;
-
-        let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        let Some(own) = deques.get(w) else {
-                            pool_invariant("execute: worker id out of range")
-                        };
-                        loop {
-                            // 1. Own deque, front (ascending-index locality).
-                            let mine = lock_clean(own).pop_front();
-                            if let Some(i) = mine {
-                                out.push((i, task(i)));
-                                continue;
-                            }
-                            // 2. Global injector.
-                            let injected = lock_clean(injector).pop_front();
-                            if let Some(i) = injected {
-                                out.push((i, task(i)));
-                                continue;
-                            }
-                            // 3. Steal the back half of a victim's deque,
-                            // scanning a fixed rotation from our own id.
-                            let mut stolen: Option<usize> = None;
-                            for v in 1..workers {
-                                let Some(vm) = deques.get((w + v) % workers) else {
-                                    pool_invariant("execute: victim id out of range")
-                                };
-                                let mut vd = lock_clean(vm);
-                                let take = vd.len().div_ceil(2);
-                                if take == 0 {
-                                    continue;
-                                }
-                                let at = vd.len() - take;
-                                let mut batch: Vec<usize> = vd.split_off(at).into();
-                                drop(vd);
-                                stolen = Some(batch.remove(0));
-                                if !batch.is_empty() {
-                                    lock_clean(own).extend(batch);
-                                }
-                                break;
-                            }
-                            match stolen {
-                                Some(i) => out.push((i, task(i))),
-                                // Nothing anywhere: tasks cannot spawn
-                                // tasks here, so the fleet is drained.
-                                None => break,
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(bucket) => bucket,
-                    // Re-raise the worker's own payload so callers see
-                    // the original panic, not a pool-flavored wrapper.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-
-        // Reassemble in input order: output is independent of which
-        // worker ran what, which is the bit-identical guarantee.
-        let mut assembled: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for bucket in per_worker.drain(..) {
-            for (i, r) in bucket {
-                match assembled.get_mut(i) {
-                    Some(slot @ None) => *slot = Some(r),
-                    _ => pool_invariant("execute: index out of range or computed twice"),
-                }
-            }
-        }
-        assembled
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| pool_invariant("execute: index never computed")))
-            .collect()
-    }
-}
-
-/// Resolve the worker count from `MNTP_JOBS`, falling back to
-/// [`std::thread::available_parallelism`] (and 1 if even that fails).
-pub fn jobs_from_env() -> usize {
-    if let Ok(v) = std::env::var("MNTP_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("warning: ignoring invalid MNTP_JOBS={v:?} (want a positive integer)");
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// [`Pool::map`] on [`Pool::from_env`]: the one-liner most call sites
-/// want.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Pool::from_env().map(items, f)
 }
 
 #[cfg(test)]
@@ -305,8 +174,8 @@ mod tests {
 
     #[test]
     fn map_matches_serial_with_uneven_work() {
-        // Heavily skewed task costs: stealing must still cover every
-        // index exactly once, and order must survive.
+        // Heavily skewed task costs: the shared queue must still cover
+        // every index exactly once, and order must survive.
         let serial: Vec<u64> = (0..57u64).map(busy).collect();
         for jobs in [2, 5, 16] {
             let pool = Pool::with_jobs(jobs);
@@ -406,7 +275,8 @@ mod proptests {
 
     props! {
         /// The pool's contract: for any input and any worker count, the
-        /// output is exactly the serial map.
+        /// output of `map`, `map_ref` and `invoke` is exactly the serial
+        /// map.
         fn par_map_equals_serial_map(
             items in prop::vecs(prop::ints(-1000..1000), 0..80),
             jobs in prop::ints(1..9)
@@ -415,6 +285,10 @@ mod proptests {
             let pool = Pool::with_jobs(jobs as usize);
             let out = pool.map(items.clone(), |x| x * 7 - 3);
             prop_assert_eq!(out, serial);
+            prop_assert_eq!(pool.map_ref(&items, |&x| x * 7 - 3), serial);
+            type Task = Box<dyn FnOnce() -> i64 + Send>;
+            let tasks: Vec<Task> = items.iter().map(|&x| Box::new(move || x * 7 - 3) as Task).collect();
+            prop_assert_eq!(pool.invoke(tasks), serial);
         }
     }
 }

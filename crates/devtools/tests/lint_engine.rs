@@ -609,10 +609,11 @@ fxwb: 1 fn(s), 0 exact, 0 approx, 5 unresolved
     assert_eq!(summary, pinned);
     // The totals line is `--graph`'s third header line.
     assert_eq!(summary.lines().nth(1), lint::graph::render(&a.graph).lines().nth(2));
+    assert_totals_equal_row_sums(&summary);
 
     // A test node's own edges and names, and the approximate edge from
-    // `probe` into it, stay out of the rows and the name list; the
-    // totals line counts them, as `--graph`'s header does.
+    // `probe` into it, stay out of the totals line, the rows and the
+    // name list, as they stay out of `--graph`'s body.
     sources.push((
         "fxchain/chain_tests.rs".to_string(),
         "pub fn probe() -> f64 {\n    helper()\n}\n\n#[cfg(test)]\nmod tests {\n    \
@@ -624,8 +625,24 @@ fxwb: 1 fn(s), 0 exact, 0 approx, 5 unresolved
     let want = pinned
         .replace(
             "# 9 nodes (0 test nodes omitted), 4 exact edges, 0 approx edges, 22 unresolved names",
-            "# 10 nodes (1 test nodes omitted), 5 exact edges, 1 approx edges, 23 unresolved names",
+            "# 10 nodes (1 test nodes omitted), 4 exact edges, 0 approx edges, 22 unresolved names",
         )
         .replace("fxchain: 3 fn(s)", "fxchain: 4 fn(s)");
-    assert_eq!(lint::graph::summary(&b.graph), want);
+    let summary = lint::graph::summary(&b.graph);
+    assert_eq!(summary, want);
+    assert_totals_equal_row_sums(&summary);
+}
+
+/// The summary's totals line (its second) names the exact, approx and
+/// unresolved counts the per-crate rows sum to.
+fn assert_totals_equal_row_sums(summary: &str) {
+    let mut sums = [0usize; 3];
+    for row in summary.lines().filter(|l| !l.starts_with('#') && !l.starts_with('?')) {
+        // `krate: F fn(s), E exact, A approx, U unresolved`
+        for (sum, col) in sums.iter_mut().zip(row.split(", ").skip(1)) {
+            *sum += col.split(' ').next().and_then(|n| n.parse::<usize>().ok()).expect(row);
+        }
+    }
+    let want = format!("{} exact edges, {} approx edges, {} unresolved names", sums[0], sums[1], sums[2]);
+    assert!(summary.lines().nth(1).is_some_and(|l| l.ends_with(&want)), "{want}\n{summary}");
 }

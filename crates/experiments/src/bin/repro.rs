@@ -7,7 +7,7 @@
 //! cargo run --release -p experiments --bin repro -- --jobs 4  # worker count
 //! ```
 //!
-//! Figures run concurrently on the in-tree work-stealing pool
+//! Figures run concurrently on the in-tree `devtools::par` pool
 //! (`--jobs N` or `MNTP_JOBS=N`; default = core count), but output is
 //! buffered and emitted in the fixed figure order, so stdout and
 //! `results/<id>.txt` are byte-identical at any worker count.

@@ -39,13 +39,9 @@ pub struct ThreeWayResult {
 /// would entangle them). The three protocol arms are fully independent
 /// trials, so they fan out over `pool` as three tasks.
 pub fn three_way_on(pool: &devtools::par::Pool, seed: u64, duration: u64) -> ThreeWayResult {
-    type Arm = Box<dyn FnOnce() -> (Summary, u64, f64) + Send>;
-    let arms: Vec<Arm> = vec![
-        Box::new(move || three_way_sntp_arm(seed, duration)),
-        Box::new(move || three_way_mntp_arm(seed, duration)),
-        Box::new(move || three_way_ntpd_arm(seed, duration)),
-    ];
-    let mut results = pool.invoke(arms).into_iter();
+    type Arm = fn(u64, u64) -> (Summary, u64, f64);
+    let arms: Vec<Arm> = vec![three_way_sntp_arm, three_way_mntp_arm, three_way_ntpd_arm];
+    let mut results = pool.map(arms, |arm| arm(seed, duration)).into_iter();
     let (sntp_summary, sntp_polls, sntp_energy) = results.next().expect("sntp arm");
     let (mntp_summary, mntp_polls, mntp_energy) = results.next().expect("mntp arm");
     let (ntpd_summary, ntpd_polls, ntpd_energy) = results.next().expect("ntpd arm");

@@ -216,17 +216,15 @@ pub fn run_sweep_on(
     seed: u64,
     duration: u64,
 ) -> Vec<FaultScenarioResult> {
+    type Arm = fn(&FaultScenario, u64, u64) -> FaultArmStats;
+    let arms: [(Arm, u64); 3] = [(sntp_arm, 0), (mntp_arm, 10), (ntpd_arm, 20)];
     let grid = scenario_grid(duration);
-    type Arm = Box<dyn FnOnce() -> FaultArmStats + Send>;
-    let mut tasks: Vec<Arm> = Vec::new();
+    let mut runs = Vec::with_capacity(grid.len() * arms.len());
     for (i, sc) in grid.iter().enumerate() {
         let base = seed + 1000 * i as u64;
-        let (a, b, c) = (sc.clone(), sc.clone(), sc.clone());
-        tasks.push(Box::new(move || sntp_arm(&a, base, duration)));
-        tasks.push(Box::new(move || mntp_arm(&b, base + 10, duration)));
-        tasks.push(Box::new(move || ntpd_arm(&c, base + 20, duration)));
+        runs.extend(arms.map(|(arm, offset)| (sc, arm, base + offset)));
     }
-    let mut flat = pool.invoke(tasks).into_iter();
+    let mut flat = pool.map(runs, |(sc, arm, arm_seed)| arm(sc, arm_seed, duration)).into_iter();
     grid.iter()
         .map(|sc| FaultScenarioResult {
             name: sc.name,

@@ -45,7 +45,7 @@ pub fn run(seed: u64, duration: u64) -> HeadToHead {
     summarize(run)
 }
 
-/// Run one trial per seed, fanned out over the work-stealing pool. Each
+/// Run one trial per seed, fanned out over the `devtools::par` pool. Each
 /// trial owns its `SimRng` streams, so the returned vector is
 /// bit-identical to running [`run`] serially per seed, in seed order.
 pub fn run_seeds(pool: &devtools::par::Pool, seeds: &[u64], duration: u64) -> Vec<HeadToHead> {

@@ -362,15 +362,7 @@ pub fn run_sweep_on(pool: &Pool, seed: u64, quick: bool) -> FleetSweepResult {
     let (small, big): (Vec<usize>, Vec<usize>) = sweep_sizes(quick)
         .into_iter()
         .partition(|&n| n < STEADY_SAMPLING_MIN_CLIENTS);
-    let tasks: Vec<Box<dyn FnOnce() -> (FleetTrialResult, Vec<FleetArrival>) + Send>> = small
-        .into_iter()
-        .map(|n| {
-            let collect = n == 1000;
-            Box::new(move || fleet_trial(n, seed, duration, collect, 1))
-                as Box<dyn FnOnce() -> (FleetTrialResult, Vec<FleetArrival>) + Send>
-        })
-        .collect();
-    let mut results = pool.invoke(tasks);
+    let mut results = pool.map(small, |n| fleet_trial(n, seed, duration, n == 1000, 1));
     for n in big {
         results.push(fleet_trial(n, seed, duration, false, pool.jobs()));
     }

@@ -1,5 +1,5 @@
 //! The `repro` orchestrator: regenerate every table and figure of the
-//! paper, fanning independent pipelines out over the work-stealing pool.
+//! paper, fanning independent pipelines out over the `devtools::par` pool.
 //!
 //! Each paper artifact is produced by a *task* — an independent trial
 //! (or family of trials) that owns all of its RNG streams and returns

@@ -61,9 +61,9 @@ impl SntpClient {
 
     /// Build a request for departure at local time `t1`. Overwrites any
     /// previous outstanding request (SNTP clients don't pipeline).
-    pub fn make_request(&mut self, t1: NtpTimestamp) -> Vec<u8> {
+    pub fn make_request(&mut self, t1: NtpTimestamp) -> NtpPacket {
         self.outstanding = Some(t1);
-        sntp_profile::client_request(t1).serialize()
+        sntp_profile::client_request(t1)
     }
 
     /// True if a request is awaiting a reply.
@@ -164,14 +164,18 @@ mod tests {
 
     /// Simulate a server reply with the given one-way delays and server
     /// clock ahead by `server_ahead_ms`.
-    fn reply_for(req: &[u8], fwd_ms: u32, back_ms: u32, server_ahead_ms: u32) -> (Vec<u8>, NtpTimestamp) {
-        let request = NtpPacket::parse(req).unwrap();
+    fn reply_for(
+        request: &NtpPacket,
+        fwd_ms: u32,
+        back_ms: u32,
+        server_ahead_ms: u32,
+    ) -> (Vec<u8>, NtpTimestamp) {
         // Client t1 = request.transmit_ts (client clock). True send time:
         // pretend client clock == true time for simplicity here.
         let t1 = request.transmit_ts;
         let t2 = t1 + NtpDuration::from_millis((fwd_ms + server_ahead_ms) as i64);
         let t3 = t2 + NtpDuration::from_millis(1);
-        let reply = sntp_profile::server_reply(&request, t2, t3, 2, RefId::ipv4(1, 2, 3, 4), t2);
+        let reply = sntp_profile::server_reply(request, t2, t3, 2, RefId::ipv4(1, 2, 3, 4), t2);
         // t4 on the client clock: true elapsed = fwd + 1 + back.
         let t4 = t1 + NtpDuration::from_millis((fwd_ms + 1 + back_ms) as i64);
         (reply.serialize(), t4)
@@ -248,8 +252,7 @@ mod tests {
     fn classified_path_exposes_kiss_code() {
         use ntp_wire::packet::Mode;
         let mut c = SntpClient::new();
-        let req = c.make_request(ts(50, 0));
-        let request = NtpPacket::parse(&req).unwrap();
+        let request = c.make_request(ts(50, 0));
         let kod = NtpPacket {
             mode: Mode::Server,
             stratum: 0,
@@ -307,7 +310,7 @@ mod tests {
     #[test]
     fn request_bytes_are_sntp_shaped() {
         let mut c = SntpClient::new();
-        let req = c.make_request(ts(7, 0));
+        let req = c.make_request(ts(7, 0)).serialize();
         let p = NtpPacket::parse(&req).unwrap();
         assert!(p.is_sntp_client_shape());
     }

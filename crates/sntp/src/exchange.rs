@@ -156,7 +156,7 @@ pub fn perform_exchange_with(
 
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
-    let request = client.make_request(t1);
+    let request = client.make_request(t1).serialize();
     if let Some(cap) = capture.as_deref_mut() {
         cap.push(TracedPacket { at: t, outbound: true, bytes: request.clone() });
     }
@@ -225,8 +225,7 @@ pub fn perform_exchange_with(
     if fate == PacketFate::Corrupt {
         // Flip the origin-timestamp field: the packet still parses but
         // cannot pass the bogus-reply check.
-        // lint:allow(no-slice-index) — server replies are full 48-byte NTP packets; 24..32 is the origin-timestamp field
-        for b in &mut delivered[24..32] {
+        for b in delivered.get_mut(24..32).into_iter().flatten() {
             *b ^= 0xFF;
         }
     }

@@ -91,9 +91,8 @@ pub struct FleetRequestInFlight {
     /// The client protocol state (holds the origin timestamp for the
     /// echo check on the reply).
     pub client: SntpClient,
-    /// Parsed (and possibly ntpd-shaped) request.
-    pub request: NtpPacket,
-    /// Serialized request bytes, as a capture would record them.
+    /// Serialized (and possibly ntpd-shaped) request bytes, as a capture
+    /// would record them.
     pub request_bytes: Vec<u8>,
     /// Wireless uplink delay already paid.
     pub hop_up: SimDuration,
@@ -133,23 +132,17 @@ pub fn begin_fleet_exchange(
     let t = t.max(clock.position());
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
-    let request_bytes = client.make_request(t1);
-    let request = match NtpPacket::parse(&request_bytes) {
-        Ok(mut p) => {
-            if shape == RequestShape::Ntpd {
-                ntpd_shape(&mut p, client_id);
-            }
-            p
-        }
-        Err(_) => return Err(ExchangeError::RejectedReply),
-    };
+    let mut request = client.make_request(t1);
+    if shape == RequestShape::Ntpd {
+        ntpd_shape(&mut request, client_id);
+    }
     let request_bytes = request.serialize();
 
     // Client → WAP over this client's channel lane.
     let Some(hop_up) = chan.transmit_up(t) else {
         return Err(ExchangeError::LostLastHopUp);
     };
-    Ok(FleetRequestInFlight { client, request, request_bytes, hop_up, t_eff: t })
+    Ok(FleetRequestInFlight { client, request_bytes, hop_up, t_eff: t })
 }
 
 /// Phase 2 (server side): backbone uplink, capacity decision, service,
@@ -157,7 +150,9 @@ pub fn begin_fleet_exchange(
 /// calls this serially in global client-id order.
 ///
 /// Returns the server-side arrival observation (when the request reached
-/// the server at all) alongside the in-flight reply. A
+/// the server at all) alongside the in-flight reply. Request bytes that
+/// do not parse are rejected before the backbone draw, as
+/// [`SimServer::handle_from`] rejects them. A
 /// [`ServiceDecision::Dropped`] request surfaces to the client as
 /// [`ExchangeError::Blackholed`] — from the phone's point of view a
 /// queue-overflow drop and a blackholed packet are indistinguishable.
@@ -167,6 +162,9 @@ pub fn serve_fleet_exchange(
     model: &mut ServerModel,
     client_id: u32,
 ) -> (Option<FleetArrival>, Result<FleetReplyInFlight, ExchangeError>) {
+    let Ok(request) = NtpPacket::parse_ref(&inflight.request_bytes) else {
+        return (None, Err(ExchangeError::RejectedReply));
+    };
     // WAP → server across the backbone.
     let bb_up = {
         let SimServer { backbone_up, rng, .. } = server;
@@ -196,7 +194,7 @@ pub fn serve_fleet_exchange(
         ServiceDecision::Served { depart, kod } => (depart, kod),
     };
     arrival.kod = kod;
-    let (reply_bytes, departure) = server.serve(&inflight.request, arrival_at, depart, kod);
+    let (reply_bytes, departure) = server.serve(&request, arrival_at, depart, kod);
 
     // Server → WAP.
     let bb_down = {

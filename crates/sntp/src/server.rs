@@ -12,7 +12,7 @@ use clocksim::ClockControl;
 use clocksim::ReferenceClock;
 use netsim::admission::{Admission, Ladder};
 use netsim::link::Link;
-use ntp_wire::{refid::RefId, sntp_profile, NtpPacket, WireError};
+use ntp_wire::{refid::RefId, sntp_profile, NtpPacket, PacketView, WireError, PACKET_LEN};
 
 /// A simulated NTP server.
 pub struct SimServer {
@@ -78,7 +78,7 @@ impl SimServer {
         request_bytes: &[u8],
         arrival: SimTime,
     ) -> Result<(Vec<u8>, SimTime), WireError> {
-        let request = NtpPacket::parse(request_bytes)?;
+        let request = NtpPacket::parse_ref(request_bytes)?;
         // Rate limiting: answer a kiss-o'-death instead of time.
         let too_fast = self.admission.rate(client, arrival.as_nanos(), self.min_poll_interval, 0);
         let departure = arrival + self.proc_delay;
@@ -89,32 +89,36 @@ impl SimServer {
     /// the caller (either [`handle`](Self::handle) or a fleet-scale
     /// service model) picks the departure time and whether to send a
     /// RATE kiss; this method only stamps the packet from the server's
-    /// clock. Timestamp reads preserve the historical order — KoD reads
-    /// the clock once at `departure`; a time reply reads at `arrival`
-    /// then `departure`.
+    /// clock, through the same reply writers as
+    /// [`crate::server_core::ServerCore`]. Timestamp reads preserve the
+    /// historical order — KoD reads the clock once at `departure`; a
+    /// time reply reads at `arrival` then `departure`.
     pub fn serve(
         &mut self,
-        request: &NtpPacket,
+        request: &PacketView<'_>,
         arrival: SimTime,
         departure: SimTime,
         kod: bool,
     ) -> (Vec<u8>, SimTime) {
+        let mut reply = [0u8; PACKET_LEN];
         if kod {
             self.kod_sent += 1;
-            let kod_pkt = NtpPacket {
-                mode: ntp_wire::packet::Mode::Server,
-                stratum: 0,
-                reference_id: RefId::KISS_RATE,
-                origin_ts: request.transmit_ts,
-                transmit_ts: self.clock.now(departure),
-                ..Default::default()
-            };
-            return (kod_pkt.serialize(), departure);
+            let t3 = self.clock.now(departure);
+            sntp_profile::write_kod_into(request, RefId::KISS_RATE, t3, &mut reply);
+        } else {
+            let t2 = self.clock.now(arrival);
+            let t3 = self.clock.now(departure);
+            sntp_profile::write_server_reply_into(
+                request,
+                t2,
+                t3,
+                self.stratum,
+                self.refid,
+                t2,
+                &mut reply,
+            );
         }
-        let t2 = self.clock.now(arrival);
-        let t3 = self.clock.now(departure);
-        let reply = sntp_profile::server_reply(request, t2, t3, self.stratum, self.refid, t2);
-        (reply.serialize(), departure)
+        (reply.to_vec(), departure)
     }
 
     /// Build a well-behaved stratum-2 server with a given clock error.
@@ -237,10 +241,10 @@ mod tests {
         let mut s = server(0.0).with_rate_limit(SimDuration::from_secs(60));
         let mut c = SntpClient::new();
         let t1 = NtpTimestamp::from_parts(5, 0);
-        let req = c.make_request(t1);
+        let req = c.make_request(t1).serialize();
         s.handle(&req, SimTime::from_secs(1)).unwrap();
         // Immediately again: KoD, which the RFC 4330 checks must reject.
-        let req = c.make_request(t1);
+        let req = c.make_request(t1).serialize();
         let (kod_bytes, _) = s.handle(&req, SimTime::from_secs(2)).unwrap();
         assert!(c.on_reply(&kod_bytes, NtpTimestamp::from_parts(6, 0)).is_err());
         assert_eq!(c.rejected(), 1);

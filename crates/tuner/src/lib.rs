@@ -14,7 +14,7 @@
 //!   would have emitted.
 //! * [`search`] — sweeps the four MNTP parameters over caller-provided
 //!   grids, runs the emulator for every combination (fanned out over the
-//!   in-tree `devtools::par` work-stealing pool, honoring `MNTP_JOBS`),
+//!   in-tree `devtools::par` pool, honoring `MNTP_JOBS`),
 //!   and ranks configurations by the RMSE
 //!   of their corrected offsets against a perfectly synchronized clock —
 //!   regenerating the paper's Table 2.

@@ -5,9 +5,9 @@
 //! and invokes the emulator for each generated combination", then ranks
 //! configurations by RMSE of the reported offsets against a perfectly
 //! synchronized clock (§5.3). Combinations are independent, so the sweep
-//! fans out over the [`devtools::par`] work-stealing pool: a slow
-//! parameter combination (long warmup ⇒ many emulated exchanges) no
-//! longer idles a whole chunk's worth of siblings, and the
+//! fans out over the [`devtools::par`] pool, whose workers share one
+//! queue: a slow parameter combination (long warmup ⇒ many emulated
+//! exchanges) does not idle a whole chunk's worth of siblings, and the
 //! order-preserving map plus a stable sort keeps the ranking
 //! byte-identical to the serial sweep at any `MNTP_JOBS`.
 

@@ -17,6 +17,9 @@ RUSTFLAGS="-D warnings" cargo build --release --offline
 echo "== determinism & panic-policy lint =="
 cargo run --release --offline -p devtools --bin lint
 
+echo "== lint output survives a reader that stops early =="
+cargo run --release --offline -p devtools --bin lint -- --graph | head -n 3 >/dev/null
+
 echo "== lint report (suppression audit + call-graph summary) is fresh =="
 cargo run --release --offline -p devtools --bin lint -- --report \
     | diff -u results/lint_report.txt - \
