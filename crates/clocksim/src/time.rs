@@ -200,3 +200,26 @@ mod tests {
         assert_eq!(SimDuration::from_millis(-1).max_zero(), SimDuration::ZERO);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use devtools::prop;
+    use devtools::{prop_assert_eq, props};
+
+    props! {
+        /// `to_ntp` is the exact 128-bit conversion for any tick, also
+        /// where the NTP-epoch sum leaves the `i64` range.
+        fn to_ntp_matches_i128_conversion(tick in prop::any_u64()) {
+            const NS: i128 = 1_000_000_000;
+            let n = (NTP_EPOCH_OFFSET_SECONDS as i128 * NS + i128::from(tick as i64))
+                .rem_euclid((1i128 << 32) * NS);
+            let (secs, sub) = ((n / NS) as u64, (n % NS) as u64);
+            let fraction = (((sub as u128) << 32) + NS as u128 / 2) / NS as u128;
+            prop_assert_eq!(
+                SimTime(tick as i64).to_ntp(),
+                NtpTimestamp::from_bits((secs << 32) | fraction as u64)
+            );
+        }
+    }
+}

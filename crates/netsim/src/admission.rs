@@ -21,9 +21,11 @@
 //! Per-client state lives in sparse [`RateTable`]s keyed by `u64` client
 //! key (a source-address surrogate): Fibonacci-hashed open addressing
 //! with linear probing, ≤ 7/8 load factor, amortized-doubling growth.
-//! Empty slots are encoded in the *tick* array (`i64::MIN` is not a valid
-//! arrival time), so keys need no reserved sentinel and any `u64` is a
-//! valid client key.
+//! Each slot is one 16-byte `[key, tick ^ i64::MIN]` pair, so a probe
+//! reads one slot and four slots share a cache line. `i64::MIN` is not a
+//! valid arrival time, so an occupied slot's tick word is never 0: an
+//! all-zero slot is empty, a fresh table is a zeroed allocation, keys
+//! need no reserved sentinel and any `u64` is a valid client key.
 
 use clocksim::time::SimDuration;
 
@@ -35,17 +37,26 @@ pub const HEALTH_RATE_BAN_SECS: f64 = 64.0;
 /// Knuth's 64-bit Fibonacci multiplier (⌊2⁶⁴/φ⌋, forced odd).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Tick value marking an empty slot. Arrival ticks are nanoseconds on the
-/// simulation timeline and never take this value.
-const EMPTY_TICK: i64 = i64::MIN;
-
 /// Open-addressing map `client key → last-seen tick (ns)`.
 #[derive(Clone, Debug)]
 pub struct RateTable {
-    keys: Vec<u64>,
-    ticks: Vec<i64>,
+    /// `[key, tick_word(tick)]` per slot; an all-zero slot is empty.
+    slots: Vec<[u64; 2]>,
     len: usize,
     mask: usize,
+}
+
+/// A tick as its slot word: the sign bit flipped, so the one invalid
+/// tick, `i64::MIN`, is the empty word 0.
+#[inline]
+fn tick_word(tick: i64) -> u64 {
+    (tick ^ i64::MIN) as u64
+}
+
+/// The tick a slot word holds.
+#[inline]
+fn word_tick(w: u64) -> i64 {
+    w as i64 ^ i64::MIN
 }
 
 impl RateTable {
@@ -53,7 +64,7 @@ impl RateTable {
     pub fn with_capacity(at_least: usize) -> Self {
         // Smallest power of two keeping load ≤ 7/8 at `at_least` entries.
         let cap = (at_least.saturating_mul(8) / 7 + 1).next_power_of_two().max(16);
-        RateTable { keys: vec![0; cap], ticks: vec![EMPTY_TICK; cap], len: 0, mask: cap - 1 }
+        RateTable { slots: vec![[0; 2]; cap], len: 0, mask: cap - 1 }
     }
 
     /// Occupied entries.
@@ -68,7 +79,7 @@ impl RateTable {
 
     /// Current slot count (capacity before the next growth is 7/8 of it).
     pub fn capacity(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// Home slot: low bits of the Fibonacci hash. (Shard routing uses the
@@ -84,50 +95,53 @@ impl RateTable {
     /// bookkeeping step: one probe sequence for both read and write.
     #[inline]
     pub fn upsert(&mut self, key: u64, tick: i64) -> Option<i64> {
-        if (self.len + 1) * 8 > self.keys.len() * 7 {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
         let mask = self.mask;
         let mut i = self.home(key);
-        loop {
-            match self.ticks.get(i).copied() {
-                Some(EMPTY_TICK) => {
-                    if let (Some(k), Some(t)) = (self.keys.get_mut(i), self.ticks.get_mut(i)) {
-                        *k = key;
-                        *t = tick;
-                    }
-                    self.len += 1;
-                    return None;
-                }
-                Some(prev) => {
-                    if self.keys.get(i).copied() == Some(key) {
-                        if let Some(t) = self.ticks.get_mut(i) {
-                            *t = tick;
-                        }
-                        return Some(prev);
-                    }
-                    i = (i + 1) & mask;
-                }
-                // Unreachable: `i` is always masked into range.
-                None => return None,
+        // `i` is always masked into range, so the loop ends at a match or
+        // an empty slot (load ≤ 7/8 guarantees one).
+        while let Some(slot) = self.slots.get_mut(i) {
+            let &mut [k, w] = slot;
+            if w == 0 {
+                *slot = [key, tick_word(tick)];
+                self.len += 1;
+                return None;
             }
+            if k == key {
+                *slot = [key, tick_word(tick)];
+                return Some(word_tick(w));
+            }
+            i = (i + 1) & mask;
         }
+        None
     }
 
     /// Look up `key`'s last-seen tick without modifying the table.
     pub fn get(&self, key: u64) -> Option<i64> {
         let mask = self.mask;
         let mut i = self.home(key);
-        loop {
-            match self.ticks.get(i).copied() {
-                Some(EMPTY_TICK) | None => return None,
-                Some(tick) => {
-                    if self.keys.get(i).copied() == Some(key) {
-                        return Some(tick);
-                    }
-                    i = (i + 1) & mask;
-                }
+        while let Some(&[k, w]) = self.slots.get(i) {
+            if w == 0 {
+                return None;
             }
+            if k == key {
+                return Some(word_tick(w));
+            }
+            i = (i + 1) & mask;
+        }
+        None
+    }
+
+    /// Load `key`'s home slot and discard it. A batched caller runs this
+    /// over a whole batch before its [`RateTable::upsert`]s: the loads are
+    /// independent, so their cache misses overlap instead of stalling one
+    /// upsert each. Changes nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        if let Some(&[_, w]) = self.slots.get(self.home(key)) {
+            std::hint::black_box(w);
         }
     }
 
@@ -137,43 +151,33 @@ impl RateTable {
     /// from any client has no previous arrival to compare against and is
     /// served, never RATE'd.
     pub fn clear(&mut self) {
-        self.keys.fill(0);
-        self.ticks.fill(EMPTY_TICK);
+        self.slots.fill([0; 2]);
         self.len = 0;
     }
 
     /// Double the slot count and reinsert every occupied entry.
     fn grow(&mut self) {
-        let new_cap = self.keys.len().saturating_mul(2).max(16);
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_ticks = std::mem::replace(&mut self.ticks, vec![EMPTY_TICK; new_cap]);
+        let new_cap = self.slots.len().saturating_mul(2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![[0; 2]; new_cap]);
         self.mask = new_cap - 1;
-        self.len = 0;
-        for (key, tick) in old_keys.into_iter().zip(old_ticks) {
-            if tick != EMPTY_TICK {
-                self.insert_fresh(key, tick);
+        for [key, w] in old {
+            if w != 0 {
+                self.insert_fresh(key, w);
             }
         }
     }
 
-    /// Insert a key known to be absent (rehash path — no read needed).
-    fn insert_fresh(&mut self, key: u64, tick: i64) {
+    /// Place a key known to be absent with slot word `w` (the rehash
+    /// path: no key compare needed).
+    fn insert_fresh(&mut self, key: u64, w: u64) {
         let mask = self.mask;
         let mut i = self.home(key);
-        loop {
-            match self.ticks.get(i).copied() {
-                Some(EMPTY_TICK) => {
-                    if let (Some(k), Some(t)) = (self.keys.get_mut(i), self.ticks.get_mut(i)) {
-                        *k = key;
-                        *t = tick;
-                    }
-                    self.len += 1;
-                    return;
-                }
-                Some(_) => i = (i + 1) & mask,
-                // Unreachable: `i` is always masked into range.
-                None => return,
+        while let Some(slot) = self.slots.get_mut(i) {
+            if let &mut [_, 0] = slot {
+                *slot = [key, w];
+                return;
             }
+            i = (i + 1) & mask;
         }
     }
 }
@@ -267,6 +271,14 @@ impl Admission {
     /// Distinct clients with an arrival on record.
     pub fn clients_tracked(&self) -> usize {
         self.last_seen.len()
+    }
+
+    /// Load `key`'s last-seen slot and discard it: a batched caller's
+    /// read-only gather pass before its [`Admission::rate`] verdicts, so
+    /// the batch's cache misses overlap. Changes nothing.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        self.last_seen.prefetch(key);
     }
 
     /// Step 1: drop `key`'s arrival without a reply? Only while the
@@ -455,5 +467,76 @@ mod tests {
         a.clear();
         assert_eq!(a.clients_tracked(), 0);
         assert!(!a.rate(5, secs(21), BASE, 0), "a cleared table serves everyone");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use devtools::prop;
+    use devtools::{prop_assert, prop_assert_eq, props};
+    use std::collections::BTreeMap;
+
+    /// Pool index → key: the extremes `0`, `1 << 63` and `u64::MAX`, then
+    /// small integers. A hundred keys from a 16-slot start cross three
+    /// growths.
+    fn key(i: usize) -> u64 {
+        match i {
+            0 => 0,
+            1 => 1 << 63,
+            2 => u64::MAX,
+            i => i as u64,
+        }
+    }
+
+    /// Tick selector → tick: the smallest and largest valid ticks, `-1`
+    /// and `0`, else a random tick (never the invalid `i64::MIN`).
+    fn tick(sel: usize, raw: u64) -> i64 {
+        match sel {
+            0 => i64::MIN + 1,
+            1 => -1,
+            2 => 0,
+            3 => i64::MAX,
+            _ => (raw as i64).max(i64::MIN + 1),
+        }
+    }
+
+    props! {
+        /// `RateTable` against a `BTreeMap` model over random sequences of
+        /// upserts, lookups, prefetches and the rare clear, from a table
+        /// small enough that the sequence crosses several growths.
+        fn rate_table_matches_btreemap_model(
+            ops in prop::vecs(
+                (prop::sizes(0..200), prop::sizes(0..100), prop::sizes(0..8), prop::any_u64()),
+                0..800
+            )
+        ) {
+            let mut table = RateTable::with_capacity(2);
+            let mut model = BTreeMap::new();
+            for (op, k, sel, raw) in ops {
+                let key = key(k);
+                match op {
+                    0 => {
+                        table.clear();
+                        model.clear();
+                    }
+                    1..=39 => prop_assert_eq!(table.get(key), model.get(&key).copied()),
+                    40..=59 => {
+                        let before = table.slots.clone();
+                        table.prefetch(key);
+                        prop_assert!(table.slots == before, "prefetch changed a slot");
+                    }
+                    _ => {
+                        let tick = tick(sel, raw);
+                        prop_assert_eq!(table.upsert(key, tick), model.insert(key, tick));
+                    }
+                }
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert!(table.len() * 8 <= table.capacity() * 7, "load above 7/8");
+            }
+            for (&key, &tick) in &model {
+                prop_assert_eq!(table.get(key), Some(tick));
+            }
+        }
     }
 }

@@ -73,19 +73,20 @@ impl NtpTimestamp {
     /// Convert a count of nanoseconds since the era origin into a
     /// timestamp. Input is taken modulo one era (2^32 seconds).
     pub fn from_era_nanos(nanos: i128) -> Self {
-        let era_len = (1i128 << 32) * NANOS_PER_SEC;
-        let n = nanos.rem_euclid(era_len);
-        let secs = (n / NANOS_PER_SEC) as u64;
-        let sub_nanos = (n % NANOS_PER_SEC) as u64;
-        // fraction = sub_nanos * 2^32 / 1e9, rounded to nearest.
-        let fraction = (((sub_nanos as u128) << 32) + (NANOS_PER_SEC as u128 / 2))
-            / NANOS_PER_SEC as u128;
-        // Rounding can carry into the seconds field.
-        if fraction >= 1u128 << 32 {
-            NtpTimestamp((secs.wrapping_add(1) & 0xFFFF_FFFF) << 32)
-        } else {
-            NtpTimestamp(((secs & 0xFFFF_FFFF) << 32) | fraction as u64)
-        }
+        const ERA_NANOS: i128 = (1i128 << 32) * NANOS_PER_SEC;
+        const NS: u64 = NANOS_PER_SEC as u64;
+        // One era (≈ 4.3·10¹⁸ ns) is below 2⁶³, so an input in the `i64`
+        // range reduces in 64-bit arithmetic; only a wider one needs `i128`.
+        let n = match i64::try_from(nanos) {
+            Ok(n) => n.rem_euclid(ERA_NANOS as i64) as u64,
+            Err(_) => nanos.rem_euclid(ERA_NANOS) as u64,
+        };
+        let (secs, sub_nanos) = (n / NS, n % NS);
+        // fraction = sub_nanos · 2³² / 10⁹, rounded to nearest. The shift
+        // stays below 2⁶², and the largest sub-second count, 999,999,999,
+        // rounds to 4,294,967,292: rounding never carries into the seconds.
+        let fraction = ((sub_nanos << 32) + NS / 2) / NS;
+        NtpTimestamp((secs << 32) | fraction)
     }
 
     /// Nanoseconds since the era origin (always in `[0, 2^32 s)`).
@@ -457,13 +458,84 @@ mod tests {
     }
 
     #[test]
-    fn fraction_rounding_carries_into_seconds() {
-        // 1 second minus a quarter nanosecond rounds up to exactly 2^32 frac,
-        // which must carry.
+    fn largest_subsecond_count_rounds_without_carry() {
+        // 999,999,999 ns is 4,294,967,291.7 fraction units: it rounds to
+        // 4,294,967,292, below 2^32, so no carry into the seconds exists.
         let ns = NANOS_PER_SEC - 1;
         let ts = NtpTimestamp::from_era_nanos(ns);
-        // Either 0.999999999 (frac just below 2^32) or carried to 1.0.
-        let n = ts.to_era_nanos();
-        assert!((n - ns).abs() <= 1);
+        assert_eq!((ts.seconds(), ts.fraction()), (0, 4_294_967_292));
+        assert!((ts.to_era_nanos() - ns).abs() <= 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use devtools::prop;
+    use devtools::{prop_assert_eq, props};
+
+    /// The 128-bit conversion the 64-bit one replaced, kept as its oracle.
+    fn from_era_nanos_i128(nanos: i128) -> NtpTimestamp {
+        let era_len = (1i128 << 32) * NANOS_PER_SEC;
+        let n = nanos.rem_euclid(era_len);
+        let secs = (n / NANOS_PER_SEC) as u64;
+        let sub_nanos = (n % NANOS_PER_SEC) as u64;
+        let fraction =
+            (((sub_nanos as u128) << 32) + (NANOS_PER_SEC as u128 / 2)) / NANOS_PER_SEC as u128;
+        if fraction >= 1u128 << 32 {
+            NtpTimestamp((secs.wrapping_add(1) & 0xFFFF_FFFF) << 32)
+        } else {
+            NtpTimestamp(((secs & 0xFFFF_FFFF) << 32) | fraction as u64)
+        }
+    }
+
+    const ERA: i128 = (1i128 << 32) * NANOS_PER_SEC;
+
+    props! {
+        /// Inputs within ±2¹⁰⁰ ns, mostly outside the `i64` range.
+        fn wide_inputs_match_i128(
+            hi in prop::ints_incl(-(1 << 36), (1 << 36) - 1),
+            lo in prop::any_u64()
+        ) {
+            let nanos = (i128::from(hi) << 64) | i128::from(lo);
+            prop_assert_eq!(NtpTimestamp::from_era_nanos(nanos), from_era_nanos_i128(nanos));
+        }
+
+        /// Any `i64` input: the 64-bit reduction.
+        fn i64_inputs_match_i128(n in prop::any_u64()) {
+            let nanos = i128::from(n as i64);
+            prop_assert_eq!(NtpTimestamp::from_era_nanos(nanos), from_era_nanos_i128(nanos));
+        }
+
+        /// Era multiples ±1 ns, and sub-second counts near 999,999,999.
+        fn era_and_second_edges_match_i128(
+            eras in prop::ints_incl(-(1 << 38), 1 << 38),
+            off in prop::ints_incl(-1, 1),
+            secs in prop::ints(-(1 << 40)..(1 << 40)),
+            sub in prop::ints_incl(999_999_000, 999_999_999)
+        ) {
+            let at_era = i128::from(eras) * ERA + i128::from(off);
+            let near_second = i128::from(secs) * NANOS_PER_SEC + i128::from(sub);
+            for nanos in [at_era, near_second] {
+                prop_assert_eq!(NtpTimestamp::from_era_nanos(nanos), from_era_nanos_i128(nanos));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_edges_match_i128() {
+        let mut edges = Vec::new();
+        for bound in [i64::MIN, i64::MAX] {
+            edges.extend((-1..=1).map(|d| i128::from(bound) + d));
+        }
+        for eras in -3..=3 {
+            edges.extend((-1..=1).map(|d| eras * ERA + d));
+        }
+        for secs in [-1i128, 0, 1, (1 << 32) - 1] {
+            edges.extend((999_999_990..NANOS_PER_SEC).map(|sub| secs * NANOS_PER_SEC + sub));
+        }
+        for nanos in edges {
+            assert_eq!(NtpTimestamp::from_era_nanos(nanos), from_era_nanos_i128(nanos), "{nanos}");
+        }
     }
 }

@@ -192,11 +192,11 @@ impl<'a> PacketView<'a> {
 
     /// Byte-level version of [`NtpPacket::is_sntp_client_shape`]: mode 3
     /// and bytes 1..40 all zero (everything between the first octet and
-    /// the transmit timestamp). One comparison chain, no field decoding.
+    /// the transmit timestamp). One slice comparison, no field decoding.
     #[inline]
     pub fn is_sntp_client_shape(&self) -> bool {
         self.mode_bits() == Mode::Client as u8
-            && self.bytes.get(1..40).is_some_and(|mid| mid.iter().all(|&b| b == 0))
+            && self.bytes.get(1..40).is_some_and(|mid| mid == [0u8; 39])
     }
 
     /// Decode into an owned [`NtpPacket`]. Field-for-field identical to

@@ -17,9 +17,12 @@
 //! servers decide RATE through the same `netsim::admission::Admission`;
 //! `SimServer` is the one-request-batch case of a shard. Scale-out is
 //! deterministic: per-client shard routing plus a serial positional merge
-//! keeps the reply stream identical at any (shards, jobs); throughput is
-//! tracked by the `server_core_*` benches against
-//! `results/bench/baseline.json`.
+//! keeps the reply stream identical at any (shards, jobs); a one-shard
+//! engine skips the merge and hands its in-order scratch ring over
+//! whole. Throughput is tracked by the `server_core_*` benches against
+//! `results/bench/baseline.json` and end to end by e2ebench's
+//! `servercore-ingest`, where a 400k-client rate table outgrows the cache
+//! and stage 2's gather pass overlaps the table's misses.
 //!
 //! * [`arena`] — [`RequestRing`] / [`ReplyRing`] slot arenas and [`Fate`].
 //! * [`pipeline`] — [`ServerCore`]: the staged engine itself.

@@ -22,12 +22,18 @@
 //! position, so one client's requests always form the same subsequence on
 //! the same shard table regardless of the shard count — and each reply
 //! depends only on that subsequence. Shard outputs land in positional
-//! scratch rings that a serial pass merges back in request order. The
-//! worker pool ([`devtools::par::Pool`]) only runs whole shards, and the
-//! merge reads them in shard order, so the reply byte stream is identical
-//! for every (shards, jobs) combination — including `shards=1, jobs=1`,
-//! which is the per-packet reference the property tests compare against
-//! [`crate::SimServer`].
+//! scratch rings that a serial pass merges back in request order; a lone
+//! shard's ring is already in request order and is swapped into the
+//! caller's ring instead. The worker pool ([`devtools::par::Pool`]) only
+//! runs whole shards, and the merge reads them in shard order, so the
+//! reply byte stream is identical for every (shards, jobs) combination —
+//! including `shards=1, jobs=1`, which is the per-packet reference the
+//! property tests compare against [`crate::SimServer`].
+//!
+//! Stage 2 opens with a read-only gather pass when rate limiting is on:
+//! [`Admission::prefetch`] loads each routed request's table slot, so
+//! when the table outgrows the cache the batch's misses overlap instead
+//! of each stalling one verdict.
 
 use clocksim::time::SimDuration;
 use devtools::par::Pool;
@@ -172,6 +178,16 @@ impl CoreShard {
     /// touched and everything valid is served.
     fn stage_rate_limit(&mut self, cfg: &CoreConfig, reqs: &RequestRing) {
         self.scratch.begin_batch(self.picked.len());
+        if cfg.min_poll_interval.is_some() {
+            // Gather: load every request's table slot first. The loads are
+            // independent, so their cache misses overlap, and the verdict
+            // loop below then hits cache.
+            for &idx in &self.picked {
+                if let Some(meta) = reqs.meta().get(idx as usize) {
+                    self.admission.prefetch(meta.client);
+                }
+            }
+        }
         for (j, (&idx, &class)) in self.picked.iter().zip(&self.classes).enumerate() {
             if class == Class::Malformed {
                 continue; // fate stays Malformed
@@ -333,9 +349,17 @@ impl ServerCore {
                 shard.picked.push(idx as u32);
             }
         }
+        let cfg = self.cfg;
+        // One shard: its scratch ring is already in request order, so it
+        // becomes `out` whole instead of being copied back.
+        if let [shard] = self.shards.as_mut_slice() {
+            shard.run_stages(&cfg, reqs);
+            std::mem::swap(out, &mut shard.scratch);
+            self.stats.add(&shard.stats);
+            return;
+        }
         // Per-shard stages (parallel; each shard touches only its own
         // table and scratch).
-        let cfg = self.cfg;
         pool.map(self.shards.iter_mut().collect::<Vec<_>>(), |shard| shard.run_stages(&cfg, reqs));
         // Merge (serial, in shard order): positional copy back into
         // request order, plus the log roll-up.

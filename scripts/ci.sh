@@ -39,7 +39,7 @@ cargo test -q --offline --test hermetic
 echo "== repro smoke (quick suite, release) =="
 MNTP_SMOKE=1 cargo test -q --release --offline --test repro_smoke
 
-echo "== committed single-device and log-analysis artifacts match the code =="
+echo "== committed single-device, log-analysis and server-core artifacts match the code =="
 cargo test -q --release --offline --test committed_artifacts
 
 echo "== fleet is jobs-invariant (artifact + sharded trial) =="
@@ -70,6 +70,17 @@ cmp results/fullscale.txt "$tmp/fullscale.txt"
 echo "== end-to-end benchmark package builds and passes its tests =="
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
+# e2ebench's own tests use 400 clients; this one repetition runs the
+# serial engine (one shard, whose ring is handed over) against the
+# 8-shard engine (the merge) on all 5.6 M datagrams and a 400k-key table.
+echo "== servercore-ingest at full scale: serial and 8-shard engines agree =="
+last="$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload servercore-ingest --reps 1 --trace 0 --out "$tmp/e2e" | tail -n 1)"
+case "$last" in
+    *'"correct":true'*) ;;
+    *) echo "servercore-ingest is not correct: $last"; exit 1 ;;
+esac
 
 # Timing-sensitive, so it runs after every correctness step: a red gate
 # on a noisy host must not hide whether those pass. It still fails the

@@ -1,18 +1,20 @@
 //! The committed `results/*.txt` artifacts are what the code produces.
 //!
-//! Regenerates the 22 single-device and log-analysis artifacts at the
-//! full horizons `repro` uses by default and requires each to equal its
-//! committed copy byte for byte, so a behaviour change cannot land with
-//! stale figures. The fleet, chaos-fleet, server-core and full-scale
-//! artifacts take minutes; they are regenerated with
-//! `cargo run --release -p experiments --bin repro -- fleet chaosfleet servercore fullscale`.
+//! Regenerates the 22 single-device and log-analysis artifacts and the
+//! server-core ingest artifact at the full horizons `repro` uses by
+//! default and requires each to equal its committed copy byte for byte,
+//! so a behaviour change cannot land with stale figures. The server-core
+//! run takes under a second on a release build and a few seconds on a
+//! debug one. The fleet, chaos-fleet and full-scale artifacts take
+//! minutes; they are regenerated with
+//! `cargo run --release -p experiments --bin repro -- fleet chaosfleet fullscale`.
 
 use std::path::Path;
 
 use experiments::repro;
 
 /// The minutes-long pipelines this test leaves out.
-const HEAVY: [&str; 4] = ["fleet", "fullscale", "servercore", "chaosfleet"];
+const HEAVY: [&str; 3] = ["fleet", "fullscale", "chaosfleet"];
 
 #[test]
 fn cheap_artifacts_match_committed_results() {
@@ -21,7 +23,7 @@ fn cheap_artifacts_match_committed_results() {
     let _ = std::fs::remove_dir_all(&out_dir);
     let mut ids = repro::expected_ids(false);
     ids.retain(|id| !HEAVY.contains(id));
-    assert_eq!(ids.len(), 22);
+    assert_eq!(ids.len(), 23);
     // `repro` selects the `validation_*` and `extended_*` artifacts by
     // their prefix.
     let mut selected: Vec<String> =

@@ -191,7 +191,10 @@ fn fleet_artifact_identical_serial_vs_parallel() {
 /// The server-core ingest harness: its artifact folds in a lockstep
 /// serial-vs-sharded engine comparison over every batch, and the
 /// rendered bytes (traffic shape, fates, the equality verdict) must not
-/// depend on the worker count driving the sharded engine.
+/// depend on the worker count driving the sharded engine. The digest
+/// pins those bytes across commits: all three servers judge RATE through
+/// one `Admission`, so a rate-table change that moves them alike passes
+/// every cross-server comparison but not this pin.
 #[test]
 fn servercore_artifact_identical_serial_vs_parallel() {
     let ids = ["servercore"];
@@ -218,6 +221,7 @@ fn servercore_artifact_identical_serial_vs_parallel() {
         serial[0].1, parallel[0].1,
         "servercore.txt differs between jobs=1 and jobs=8"
     );
+    assert_eq!(fnv1a64(&serial[0].1), 0x4740_dd58_6f1f_865c, "quick servercore.txt bytes changed");
     let body = String::from_utf8_lossy(&serial[0].1).into_owned();
     assert!(
         body.contains("== serial reply stream: yes"),
