@@ -29,7 +29,7 @@
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::SimClock;
-use netsim::{FaultInjector, Testbed, WirelessHints};
+use netsim::{DeviceChaos, Testbed, WirelessHints};
 use sntp::{perform_exchange_with, HealthConfig, ServerPool};
 
 use crate::discipline::{Directive, Discipline, ExchangeResult};
@@ -202,8 +202,8 @@ impl DriverConfig {
 ///    clients must not trigger it);
 /// 2. [`Discipline::poll`] — the discipline reads its clock and decides;
 /// 3. one exchange per requested server through
-///    [`perform_exchange_with`], with the fault injector when one is
-///    supplied and under `cfg.timeout`;
+///    [`perform_exchange_with`], through the device's fault plan when
+///    one is supplied and under `cfg.timeout`;
 /// 4. [`Discipline::complete`] digests the round and optionally yields
 ///    a record;
 /// 5. emitted clock commands are applied at the tick instant;
@@ -213,7 +213,7 @@ pub fn drive(
     testbed: &mut Testbed,
     pool: &mut ServerPool,
     clock: &mut SimClock,
-    mut faults: Option<&mut FaultInjector>,
+    mut faults: Option<&mut DeviceChaos>,
     cfg: &DriverConfig,
 ) -> MntpRun {
     let mut run = MntpRun::default();
@@ -301,13 +301,13 @@ mod tests {
         drive(&mut d, tb, pool, c, None, &dcfg)
     }
 
-    /// The hardened engine through a fault layer, 1 s query timeout.
+    /// The hardened engine through a fault plan, 1 s query timeout.
     fn hardened(
         cfg: MntpConfig,
         tb: &mut Testbed,
         pool: &mut ServerPool,
         c: &mut SimClock,
-        faults: &mut FaultInjector,
+        faults: &mut DeviceChaos,
         secs: u64,
     ) -> MntpRun {
         let mut d = MntpDiscipline::hardened(cfg, &RobustConfig::default(), pool.len());
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn faulted_run_survives_total_outage_and_recovers() {
-        use netsim::{FaultKind, FaultSchedule, ServerSet};
+        use netsim::{ChaosEvent, FleetFaultPlan, ServerSet};
         let go = || {
             let mut tb = Testbed::wireless(TestbedConfig::default(), 31);
             let mut pool = ServerPool::new(PoolConfig::default(), 32);
@@ -435,12 +435,12 @@ mod tests {
                 apply_mode: crate::config::ApplyMode::Step,
                 ..Default::default()
             };
-            let schedule = FaultSchedule::none().window(
+            let plan = FleetFaultPlan::new(34).window(
                 1800.0,
                 3000.0,
-                FaultKind::ServerOutage { servers: ServerSet::All },
+                ChaosEvent::ServerOutage { servers: ServerSet::All },
             );
-            let mut faults = FaultInjector::new(schedule, 34);
+            let mut faults = DeviceChaos::new(plan);
             hardened(cfg, &mut tb, &mut pool, &mut c, &mut faults, 5400)
         };
         let run = go();
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn faulted_run_records_kiss_o_death() {
-        use netsim::{FaultKind, FaultSchedule, ServerSet};
+        use netsim::{ChaosEvent, FleetFaultPlan, ServerSet};
         let mut tb = Testbed::wireless(TestbedConfig::default(), 41);
         let mut pool = ServerPool::new(PoolConfig::default(), 42);
         let mut c = clock(10.0, 43);
@@ -468,12 +468,12 @@ mod tests {
             ..Default::default()
         };
         // Every server rate-limits hard during the regular phase.
-        let schedule = FaultSchedule::none().window(
+        let plan = FleetFaultPlan::new(44).window(
             300.0,
             600.0,
-            FaultKind::KissODeath { servers: ServerSet::All, min_poll_secs: 3600.0 },
+            ChaosEvent::KissODeath { servers: ServerSet::All, min_poll_secs: 3600.0 },
         );
-        let mut faults = FaultInjector::new(schedule, 44);
+        let mut faults = DeviceChaos::new(plan);
         let run = hardened(cfg, &mut tb, &mut pool, &mut c, &mut faults, 900);
         assert!(run.kod_count() > 0, "KoD replies should be recorded");
     }

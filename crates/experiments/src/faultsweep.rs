@@ -1,9 +1,10 @@
 //! Beyond the paper: the fault sweep — how each client survives
 //! episodic network failure.
 //!
-//! Every scenario in the grid injects one fault family through
-//! [`netsim::FaultInjector`] while three clients discipline their own
-//! clocks over otherwise-identical wireless conditions:
+//! Every scenario in the grid injects one fault family through a
+//! [`netsim::FleetFaultPlan`] — the device is client 0 of the plan —
+//! while three clients discipline their own clocks over
+//! otherwise-identical wireless conditions:
 //!
 //! * **SNTP (naive)** — poll every 5 s, step on every reply, no retry
 //!   policy beyond the next poll. This is the §5.1 baseline; under an
@@ -16,8 +17,11 @@
 //!   [`ntpd_sim::NtpdDiscipline`]; its reachability registers and poll
 //!   backoff are its native hardening.
 //!
-//! All three run under [`mntp::drive`] through the same injector with
-//! the same per-query timeout.
+//! All three run under [`mntp::drive`] through the scenario's one plan,
+//! each arm with fresh one-shot latches, under the same per-query
+//! timeout. A plan's draw is a hash of (window, client, instant,
+//! direction), so requests of two arms that leave at the same instant
+//! meet the same storm draw.
 //!
 //! The table reports |true clock error| *during* the fault window and
 //! *after* recovery time has passed, plus polls sent — the survival /
@@ -27,7 +31,7 @@ use clocksim::stats::Summary;
 use clocksim::time::SimDuration;
 use mntp::{drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline, RobustConfig};
 use netsim::testbed::TestbedConfig;
-use netsim::{FaultInjector, FaultKind, FaultSchedule, ServerSet, Testbed};
+use netsim::{ChaosEvent, ClientRange, DeviceChaos, FleetFaultPlan, ServerSet, Testbed};
 use ntpd_sim::{NtpdConfig, NtpdDiscipline};
 
 use crate::harness::{default_pool, ClockMode};
@@ -41,8 +45,11 @@ const TIMEOUT_SECS: f64 = 1.0;
 pub struct FaultScenario {
     /// Scenario name (table row label).
     pub name: &'static str,
-    /// The injected faults.
-    pub schedule: FaultSchedule,
+    /// The scenario's seed: the plan's and, offset per arm, the
+    /// testbed's, pool's and clock's.
+    pub seed: u64,
+    /// The injected faults, shared by the three arms.
+    pub plan: FleetFaultPlan,
     /// `[start, end)` of the fault episode, seconds — the "during"
     /// metric window.
     pub during: (f64, f64),
@@ -53,51 +60,57 @@ pub struct FaultScenario {
 
 /// The fault grid, positioned relative to `duration` so quick and full
 /// horizons exercise the same phases (fault lands in the regular phase,
-/// recovery window before the end).
-pub fn scenario_grid(duration: u64) -> Vec<FaultScenario> {
+/// recovery window before the end). Scenario `i` takes the seed
+/// `seed + 1000 i`.
+pub fn scenario_grid(seed: u64, duration: u64) -> Vec<FaultScenario> {
     let d = duration as f64;
     let w0 = (d * 0.33).floor();
     let w1 = (d * 0.55).floor();
     let post = (d * 0.78).floor();
-    let windowed = |name, kind| FaultScenario {
-        name,
-        schedule: FaultSchedule::none().window(w0, w1, kind),
-        during: (w0, w1),
-        post_from: post,
-    };
-    vec![
-        FaultScenario {
-            name: "clean",
-            schedule: FaultSchedule::none(),
-            during: (w0, w1),
-            post_from: post,
-        },
-        windowed("loss-storm-80", FaultKind::LossStorm { loss_prob: 0.8 }),
-        windowed("total-outage", FaultKind::ServerOutage { servers: ServerSet::All }),
-        windowed(
+    let device = ClientRange::all(1);
+    let windowed = |event| vec![(w0, w1, event)];
+    let grid = [
+        ("clean", Vec::new()),
+        (
+            "loss-storm-80",
+            windowed(ChaosEvent::RegionalLossStorm { region: device, loss_prob: 0.8 }),
+        ),
+        ("total-outage", windowed(ChaosEvent::ServerOutage { servers: ServerSet::All })),
+        (
             "kod-rate-limit",
-            FaultKind::KissODeath { servers: ServerSet::All, min_poll_secs: 3600.0 },
+            windowed(ChaosEvent::KissODeath { servers: ServerSet::All, min_poll_secs: 3600.0 }),
         ),
-        windowed(
+        (
             "delay-spike-asym",
-            FaultKind::DelaySpike { extra_up_ms: 150.0, extra_down_ms: 0.0 },
+            windowed(ChaosEvent::RegionalDelaySpike {
+                region: device,
+                extra_up_ms: 150.0,
+                extra_down_ms: 0.0,
+            }),
         ),
-        FaultScenario {
-            name: "clock-step-400",
-            schedule: FaultSchedule::none()
-                .at(w0, FaultKind::ClockStep { offset_ms: -400.0 }),
-            during: (w0, w1),
-            post_from: post,
-        },
-        FaultScenario {
-            name: "corrupt-duplicate",
-            schedule: FaultSchedule::none()
-                .window(w0, w1, FaultKind::CorruptReply { prob: 0.5 })
-                .window(w0, w1, FaultKind::DuplicateReply { prob: 0.5 }),
-            during: (w0, w1),
-            post_from: post,
-        },
-    ]
+        (
+            "clock-step-400",
+            vec![(w0, w0, ChaosEvent::ClockStepWave { region: device, offset_ms: -400.0 })],
+        ),
+        (
+            "corrupt-duplicate",
+            vec![
+                (w0, w1, ChaosEvent::CorruptReply { prob: 0.5 }),
+                (w0, w1, ChaosEvent::DuplicateReply { prob: 0.5 }),
+            ],
+        ),
+    ];
+    grid.into_iter()
+        .enumerate()
+        .map(|(i, (name, events))| {
+            let seed = seed + 1000 * i as u64;
+            let plan =
+                events.into_iter().fold(FleetFaultPlan::new(seed), |plan, (from, to, event)| {
+                    plan.window(from, to, event)
+                });
+            FaultScenario { name, seed, plan, during: (w0, w1), post_from: post }
+        })
+        .collect()
 }
 
 /// One protocol's survival numbers for one scenario.
@@ -116,7 +129,7 @@ pub struct FaultArmStats {
     pub kod: u64,
 }
 
-/// One scenario row: the three arms over the same fault schedule.
+/// One scenario row: the three arms over the same fault plan.
 #[derive(Clone, Debug)]
 pub struct FaultScenarioResult {
     /// Scenario name.
@@ -147,7 +160,7 @@ fn timed_span(duration: u64) -> DriverConfig {
     }
 }
 
-/// Naive SNTP under faults: poll every 5 s through the injector with
+/// Naive SNTP under faults: poll every 5 s through the plan with
 /// the shared timeout, step on every reply — no health tracking, no
 /// backoff. What a stock mobile SNTP client does when the network
 /// misbehaves.
@@ -155,7 +168,7 @@ fn sntp_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::free_running_default().build(seed + 2);
-    let mut faults = FaultInjector::new(sc.schedule.clone(), seed + 3);
+    let mut faults = DeviceChaos::new(sc.plan.clone());
     let mut d = mntp::SntpDiscipline::naive();
     let dcfg = DriverConfig {
         ticks: duration / 5,
@@ -173,7 +186,7 @@ fn mntp_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::free_running_default().build(seed + 2);
-    let mut faults = FaultInjector::new(sc.schedule.clone(), seed + 3);
+    let mut faults = DeviceChaos::new(sc.plan.clone());
     let cfg = MntpConfig {
         warmup_period_secs: 300.0,
         warmup_wait_secs: 10.0,
@@ -199,7 +212,7 @@ fn ntpd_arm(sc: &FaultScenario, seed: u64, duration: u64) -> FaultArmStats {
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::free_running_default().build(seed + 2);
-    let mut faults = FaultInjector::new(sc.schedule.clone(), seed + 3);
+    let mut faults = DeviceChaos::new(sc.plan.clone());
     let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(vec![0, 1, 2, 3]));
     let dcfg = timed_span(duration);
     let run = drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg);
@@ -218,11 +231,10 @@ pub fn run_sweep_on(
 ) -> Vec<FaultScenarioResult> {
     type Arm = fn(&FaultScenario, u64, u64) -> FaultArmStats;
     let arms: [(Arm, u64); 3] = [(sntp_arm, 0), (mntp_arm, 10), (ntpd_arm, 20)];
-    let grid = scenario_grid(duration);
+    let grid = scenario_grid(seed, duration);
     let mut runs = Vec::with_capacity(grid.len() * arms.len());
-    for (i, sc) in grid.iter().enumerate() {
-        let base = seed + 1000 * i as u64;
-        runs.extend(arms.map(|(arm, offset)| (sc, arm, base + offset)));
+    for sc in &grid {
+        runs.extend(arms.map(|(arm, offset)| (sc, arm, sc.seed + offset)));
     }
     let mut flat = pool.map(runs, |(sc, arm, arm_seed)| arm(sc, arm_seed, duration)).into_iter();
     grid.iter()
@@ -284,7 +296,7 @@ mod tests {
 
     #[test]
     fn grid_covers_the_fault_families() {
-        let grid = scenario_grid(5400);
+        let grid = scenario_grid(2016, 5400);
         assert_eq!(grid.len(), 7);
         assert_eq!(grid[0].name, "clean");
         assert!(grid.iter().any(|s| s.name == "total-outage"));

@@ -1,14 +1,19 @@
-//! Fleet-scale chaos orchestration: population-wide fault plans.
+//! Episodic faults: one seed-deterministic fault model for a single
+//! device and for fleets.
 //!
-//! [`crate::faults`] injects episodic faults into *one* client's
-//! exchanges. This module generalizes the same declarative idea to the
-//! 100k–1M-client fleet worlds of [`crate::fleet`]: a
-//! [`FleetFaultPlan`] places correlated events on the true-time axis
+//! The paper's clients live on hostile networks: delay spikes (Fig. 4),
+//! loss bursts, servers that rate-limit or fall over. The channel
+//! models in [`crate::wifi`]/[`crate::cellular`] reproduce the
+//! *steady-state* hostility; this module adds the *episodic* kind. A
+//! [`FleetFaultPlan`] places typed [`ChaosEvent`]s on the true-time axis
 //! over fault **domains** — contiguous client-id ranges (regions, which
-//! shard-aligned ranges are a special case of) and server subsets:
+//! shard-aligned ranges are a special case of) and server subsets. The
+//! fleet worlds of [`crate::fleet`] query one plan for 100k–1M clients;
+//! a single device is client 0 of a one-client plan, carried through
+//! its exchanges as a [`DeviceChaos`]. The event kinds:
 //!
 //! * **regional loss storms** — every packet to/from clients in a range
-//!   faces an extra Bernoulli drop;
+//!   faces an extra drop;
 //! * **regional delay spikes** — extra one-way delay (asymmetric when
 //!   the two directions differ) for a range;
 //! * **server outages with scheduled restarts** — a server subset
@@ -18,19 +23,34 @@
 //!   an instant (a good server going bad mid-run);
 //! * **clock-step waves** — every client in a range steps its clock
 //!   once at a per-client instant spread across the window (leap-smear
-//!   gone wrong, a fleet-wide suspend/resume storm).
+//!   gone wrong, a fleet-wide suspend/resume storm; an instant wave
+//!   over one client is a device waking with its clock wrong);
+//! * **kiss-o'-death windows** — servers answer `RATE` to clients
+//!   polling faster than a floor;
+//! * **duplicate / corrupt replies** — a reply is cloned, or has bytes
+//!   flipped, in flight.
+//!
+//! The fleet runner applies the first five kinds; only the
+//! single-device exchange applies the last three.
 //!
 //! # Determinism
 //!
-//! The fleet runner executes clients shard-parallel, so the injector
-//! cannot own a sequential RNG stream the way [`crate::faults`] does —
-//! draw order would depend on the shard and worker schedule. Instead
-//! every probabilistic answer is a *pure function*: each window gets a
-//! private lane seed forked from the plan seed at build time, and a
-//! per-packet decision hashes (lane, client, instant, direction)
-//! through the SplitMix64 finalizer. Any (shards, jobs) combination
-//! therefore replays byte-identically — the same contract
-//! `tests/parallel_equivalence.rs` pins for the fault-free fleet.
+//! The fleet runner executes clients shard-parallel, so the plan cannot
+//! own a sequential RNG stream — draw order would depend on the shard
+//! and worker schedule. Instead every probabilistic answer is a *pure
+//! function*: each window gets a private lane seed forked from the plan
+//! seed at build time, and a per-packet decision hashes (lane, client,
+//! instant, direction) through the SplitMix64 finalizer. Any (shards,
+//! jobs) combination therefore replays byte-identically — the same
+//! contract `tests/parallel_equivalence.rs` pins for the fault-free
+//! fleet.
+//!
+//! The key holds no server: packets one client sends in one direction
+//! at one instant share each window's draw. A fan-out round sends its
+//! requests at one instant, so a storm drops the whole round or none of
+//! it. A device meets the same: a request lost on the uplink leaves its
+//! clock where it was, so the round's next request departs at the same
+//! instant and shares the draw.
 //!
 //! One-shot events need latches, and those are split by ownership so no
 //! cross-shard state exists: per-client wave latches live in a
@@ -40,7 +60,24 @@
 
 use clocksim::time::{SimDuration, SimTime};
 
-use crate::faults::{clamp_window, ServerSet};
+/// Which servers a server-domain event applies to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServerSet {
+    /// Every server in the pool.
+    All,
+    /// A single server by pool index.
+    One(usize),
+}
+
+impl ServerSet {
+    /// True when `id` is in the set.
+    pub fn contains(&self, id: usize) -> bool {
+        match self {
+            ServerSet::All => true,
+            ServerSet::One(s) => *s == id,
+        }
+    }
+}
 
 /// A contiguous client-id range `[lo, hi)` — the client-side fault
 /// domain. Shard-aligned regions are ranges that happen to match shard
@@ -81,10 +118,11 @@ impl ClientRange {
     }
 }
 
-/// The population-level fault taxonomy.
+/// The fault taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChaosEvent {
-    /// Extra Bernoulli loss, both directions, for clients in `region`.
+    /// Extra loss, both directions, for clients in `region`: one draw
+    /// per (client, direction, instant).
     RegionalLossStorm {
         /// Affected clients.
         region: ClientRange,
@@ -124,17 +162,50 @@ pub enum ChaosEvent {
         /// Size of the step applied to each client clock, ms (signed).
         offset_ms: f64,
     },
+    /// The servers enforce a minimum poll interval and answer
+    /// kiss-o'-death (`RATE`) to clients polling faster. Only the
+    /// single-device exchange applies it.
+    KissODeath {
+        /// Affected servers.
+        servers: ServerSet,
+        /// Minimum request spacing the servers will tolerate, seconds.
+        min_poll_secs: f64,
+    },
+    /// Each reply is duplicated with probability `prob`; the copy lands
+    /// right behind the original and must be rejected as stale. Only
+    /// the single-device exchange applies it.
+    DuplicateReply {
+        /// Per-reply duplication probability.
+        prob: f64,
+    },
+    /// Each reply has bytes flipped in flight with probability `prob`.
+    /// Only the single-device exchange applies it.
+    CorruptReply {
+        /// Per-reply corruption probability.
+        prob: f64,
+    },
 }
 
-/// One scheduled population event over `[start_secs, end_secs)`.
+/// What the plan decided for one reply
+/// ([`FleetFaultPlan::downlink_fate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PacketFate {
+    /// Untouched.
+    Deliver,
+    /// Silently dropped (storm or outage).
+    Drop,
+    /// Delivered, plus an identical copy right behind it.
+    Duplicate,
+    /// Delivered with flipped bytes.
+    Corrupt,
+}
+
+/// One scheduled event over `[start_secs, end_secs)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChaosWindow {
-    /// Window start (inclusive), seconds of true time.
-    pub start_secs: f64,
-    /// Window end (exclusive), seconds of true time.
-    pub end_secs: f64,
-    /// What happens during the window.
-    pub event: ChaosEvent,
+struct ChaosWindow {
+    start_secs: f64,
+    end_secs: f64,
+    event: ChaosEvent,
     /// Private lane seed for this window's probabilistic draws, forked
     /// from the plan seed at build time.
     lane: u64,
@@ -160,7 +231,13 @@ const UP: u64 = 1;
 /// Direction salt for per-packet keys.
 const DOWN: u64 = 2;
 
-/// A seed-deterministic population fault plan.
+/// The per-packet draw key: (instant, direction). No server id — see
+/// the module docs.
+fn packet_key(t: SimTime, dir: u64) -> u64 {
+    (t.as_nanos() as u64).wrapping_mul(4).wrapping_add(dir)
+}
+
+/// A seed-deterministic fault plan.
 ///
 /// Build declaratively with [`FleetFaultPlan::window`] /
 /// [`FleetFaultPlan::at`]; query statelessly from any shard. One-shot
@@ -177,16 +254,21 @@ impl FleetFaultPlan {
         FleetFaultPlan { seed, windows: Vec::new() }
     }
 
-    /// The empty, never-faulting plan (the identity injector).
+    /// The empty, never-faulting plan.
     pub fn none() -> Self {
         FleetFaultPlan::new(0)
     }
 
-    /// Add an event over `[start_secs, end_secs)` (builder). Inverted
-    /// or negative ranges saturate onto the time axis exactly like
-    /// [`crate::faults::FaultSchedule::window`].
+    /// Add an event over `[start_secs, end_secs)` (builder).
+    ///
+    /// Inverted or negative ranges are a caller bug: they debug-assert,
+    /// and in release builds saturate onto the time axis (start clamped
+    /// to ≥ 0, end clamped to ≥ start) instead of silently producing a
+    /// window no instant can ever satisfy.
     pub fn window(mut self, start_secs: f64, end_secs: f64, event: ChaosEvent) -> Self {
-        let (start_secs, end_secs) = clamp_window(start_secs, end_secs);
+        debug_assert!(start_secs <= end_secs, "fault window ends before it starts");
+        let start_secs = start_secs.max(0.0);
+        let end_secs = end_secs.max(start_secs);
         // Lane i depends only on (seed, i): plans replay identically
         // however the builder calls interleave with anything else.
         let i = self.windows.len() as u64;
@@ -203,11 +285,6 @@ impl FleetFaultPlan {
     /// True when no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
-    }
-
-    /// The scheduled windows, in builder order.
-    pub fn windows(&self) -> &[ChaosWindow] {
-        &self.windows
     }
 
     fn active(w: &ChaosWindow, t: SimTime) -> bool {
@@ -241,10 +318,10 @@ impl FleetFaultPlan {
                 ChaosEvent::RegionalLossStorm { region, loss_prob }
                     if region.contains(client) =>
                 {
-                    // One packet per (client, direction, instant): the
-                    // key is unique per draw, so this is a faithful
-                    // Bernoulli stream at any execution schedule.
-                    let key = (t.as_nanos() as u64).wrapping_mul(4).wrapping_add(dir);
+                    // One draw per (client, direction, instant): every
+                    // server a client reaches at one instant shares it,
+                    // so a storm drops a whole fan-out round or none.
+                    let key = packet_key(t, dir);
                     if draw(w.lane, u64::from(client), key) < loss_prob {
                         return true;
                     }
@@ -253,6 +330,29 @@ impl FleetFaultPlan {
             }
         }
         false
+    }
+
+    /// Fate of a server→client reply toward `client` departing at `t`
+    /// from `server`: [`PacketFate::Drop`] exactly when
+    /// [`FleetFaultPlan::drop_downlink`] says so; otherwise corruption
+    /// outranks duplication. Each reply-mangling window draws on its own
+    /// lane under the downlink key.
+    pub fn downlink_fate(&self, client: u32, server: usize, t: SimTime) -> PacketFate {
+        if self.drop_downlink(client, server, t) {
+            return PacketFate::Drop;
+        }
+        let hit = |w: &ChaosWindow, prob: f64| {
+            Self::active(w, t) && draw(w.lane, u64::from(client), packet_key(t, DOWN)) < prob
+        };
+        let mut fate = PacketFate::Deliver;
+        for w in &self.windows {
+            match w.event {
+                ChaosEvent::CorruptReply { prob } if hit(w, prob) => return PacketFate::Corrupt,
+                ChaosEvent::DuplicateReply { prob } if hit(w, prob) => fate = PacketFate::Duplicate,
+                _ => {}
+            }
+        }
+        fate
     }
 
     /// Extra client→server delay for `client` at `t` (sum of active
@@ -287,15 +387,30 @@ impl FleetFaultPlan {
         })
     }
 
-    /// True when any windowed fault is active at `t` (instant kinds and
-    /// per-client wave events excluded) — lets evaluation code split
-    /// statistics into during-fault and fault-free epochs.
-    pub fn fault_active(&self, t: SimTime) -> bool {
+    /// Minimum poll interval `server` enforces at `t`, if a
+    /// kiss-o'-death window covers it (the largest floor wins when
+    /// windows overlap).
+    pub fn kod_min_poll(&self, server: usize, t: SimTime) -> Option<SimDuration> {
+        self.windows
+            .iter()
+            .filter_map(|w| match w.event {
+                ChaosEvent::KissODeath { servers, min_poll_secs }
+                    if servers.contains(server) && Self::active(w, t) =>
+                {
+                    Some(min_poll_secs)
+                }
+                _ => None,
+            })
+            .reduce(f64::max)
+            .map(SimDuration::from_secs_f64)
+    }
+
+    /// True when any kiss-o'-death window (active or not) names
+    /// `server`: the exchange then owns that server's rate-limit knob
+    /// for the whole run.
+    pub fn kod_manages(&self, server: usize) -> bool {
         self.windows.iter().any(|w| {
-            !matches!(
-                w.event,
-                ChaosEvent::FalsetickerOnset { .. } | ChaosEvent::ClockStepWave { .. }
-            ) && Self::active(w, t)
+            matches!(w.event, ChaosEvent::KissODeath { servers, .. } if servers.contains(server))
         })
     }
 
@@ -441,6 +556,32 @@ impl ServerChaosLatch {
     }
 }
 
+/// A plan as one device meets it: the device is client
+/// [`DeviceChaos::CLIENT`] of the plan, and the bundle carries one latch
+/// row of each kind, so clock steps and falseticker onsets fire once
+/// across every exchange of a run.
+#[derive(Clone, Debug)]
+pub struct DeviceChaos {
+    /// The fault plan.
+    pub plan: FleetFaultPlan,
+    /// The device's clock-step latch (one row).
+    pub client_latch: ClientChaosLatch,
+    /// The pool's falseticker-onset latch.
+    pub server_latch: ServerChaosLatch,
+}
+
+impl DeviceChaos {
+    /// The device's client id in its plan.
+    pub const CLIENT: u32 = 0;
+
+    /// `plan` with fresh latches.
+    pub fn new(plan: FleetFaultPlan) -> Self {
+        let client_latch = ClientChaosLatch::new(&plan, 1);
+        let server_latch = ServerChaosLatch::new(&plan);
+        DeviceChaos { plan, client_latch, server_latch }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,11 +597,12 @@ mod tests {
         let mut slatch = ServerChaosLatch::new(&plan);
         for i in 0..50 {
             assert!(!plan.drop_uplink(i, 0, t(i as f64)));
-            assert!(!plan.drop_downlink(i, 0, t(i as f64)));
+            assert_eq!(plan.downlink_fate(i, 0, t(i as f64)), PacketFate::Deliver);
         }
         assert_eq!(plan.extra_delay_up(0, t(5.0)), SimDuration::ZERO);
         assert!(!plan.server_down(0, t(5.0)));
-        assert!(!plan.fault_active(t(5.0)));
+        assert_eq!(plan.kod_min_poll(0, t(5.0)), None);
+        assert!(!plan.kod_manages(0));
         assert_eq!(plan.take_client_steps(&mut latch, 0, 0, t(1e6)), None);
         assert_eq!(plan.take_falseticker_onsets(&mut slatch, 0, t(1e6)), None);
         assert!(!plan.take_restarts(&mut slatch, 0, t(1e6)));
@@ -502,6 +644,30 @@ mod tests {
             .count();
         let frac = dropped as f64 / n as f64;
         assert!((frac - 0.35).abs() < 0.02, "drop fraction {frac}");
+    }
+
+    /// The storm's key holds no server: packets one client sends in one
+    /// direction at one instant share the draw, so a fan-out round is
+    /// dropped whole or not at all.
+    #[test]
+    fn storm_draw_is_shared_by_every_server_at_one_instant() {
+        let plan = FleetFaultPlan::new(10).window(
+            0.0,
+            1e9,
+            ChaosEvent::RegionalLossStorm { region: ClientRange::all(4), loss_prob: 0.5 },
+        );
+        let mut dropped = 0;
+        for i in 0..400u32 {
+            let (c, at) = (i % 4, t(f64::from(i) * 0.37));
+            let up = plan.drop_uplink(c, 0, at);
+            let down = plan.drop_downlink(c, 0, at);
+            dropped += usize::from(up);
+            for s in 1..4 {
+                assert_eq!(plan.drop_uplink(c, s, at), up);
+                assert_eq!(plan.drop_downlink(c, s, at), down);
+            }
+        }
+        assert!((100..300).contains(&dropped), "both outcomes occur, dropped {dropped}");
     }
 
     #[test]
@@ -575,6 +741,50 @@ mod tests {
         // Client 12 only in the second.
         assert_eq!(plan.extra_delay_up(12, t(16.0)), SimDuration::from_millis(1));
         assert_eq!(plan.extra_delay_up(3, t(30.0)), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn duplicate_and_corrupt_apply_to_downlink_only() {
+        let both = FleetFaultPlan::new(11)
+            .window(0.0, 1e9, ChaosEvent::DuplicateReply { prob: 1.0 })
+            .window(0.0, 1e9, ChaosEvent::CorruptReply { prob: 1.0 });
+        assert!(!both.drop_uplink(0, 0, t(1.0)));
+        assert!(!both.drop_downlink(0, 0, t(1.0)));
+        // The corrupt window is listed second, but corruption outranks
+        // duplication: with both at p=1 the reply is corrupted.
+        assert_eq!(both.downlink_fate(0, 0, t(1.0)), PacketFate::Corrupt);
+        let dup_only =
+            FleetFaultPlan::new(12).window(0.0, 1e9, ChaosEvent::DuplicateReply { prob: 1.0 });
+        assert_eq!(dup_only.downlink_fate(0, 0, t(1.0)), PacketFate::Duplicate);
+        assert_eq!(dup_only.downlink_fate(0, 0, t(1e9)), PacketFate::Deliver);
+    }
+
+    #[test]
+    fn kod_window_reports_min_poll_for_covered_servers() {
+        let plan = FleetFaultPlan::new(13)
+            .window(
+                50.0,
+                150.0,
+                ChaosEvent::KissODeath { servers: ServerSet::One(1), min_poll_secs: 64.0 },
+            )
+            .window(
+                100.0,
+                200.0,
+                ChaosEvent::KissODeath { servers: ServerSet::One(1), min_poll_secs: 256.0 },
+            )
+            .window(
+                120.0,
+                130.0,
+                ChaosEvent::KissODeath { servers: ServerSet::One(1), min_poll_secs: 16.0 },
+            );
+        assert_eq!(plan.kod_min_poll(1, t(60.0)), Some(SimDuration::from_secs(64)));
+        // Overlapping windows: the largest floor wins.
+        assert_eq!(plan.kod_min_poll(1, t(125.0)), Some(SimDuration::from_secs(256)));
+        assert_eq!(plan.kod_min_poll(1, t(10.0)), None);
+        assert_eq!(plan.kod_min_poll(0, t(125.0)), None);
+        // Only the named server is managed, inside its windows or not.
+        assert!(plan.kod_manages(1));
+        assert!(!plan.kod_manages(0));
     }
 
     #[test]
@@ -683,9 +893,40 @@ mod tests {
             10.0,
             ChaosEvent::ServerOutage { servers: ServerSet::All },
         );
-        assert_eq!(plan.windows()[0].start_secs, 0.0);
         assert!(plan.server_down(0, t(0.0)));
+        assert!(plan.server_down(0, t(9.9)));
         assert!(!plan.server_down(0, t(10.0)));
+    }
+
+    /// An inverted window is a caller bug: it trips the debug assertion
+    /// rather than silently never matching.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "ends before it starts")]
+    fn inverted_window_panics_in_debug() {
+        let _ = FleetFaultPlan::new(14).window(
+            200.0,
+            100.0,
+            ChaosEvent::ServerOutage { servers: ServerSet::All },
+        );
+    }
+
+    /// Release builds saturate an inverted window to the empty one at
+    /// its start: the servers are never down, and the restart fires at
+    /// 200 s, not at the 100 s the caller wrote as the end.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn inverted_window_saturates_in_release() {
+        let plan = FleetFaultPlan::new(14).window(
+            200.0,
+            100.0,
+            ChaosEvent::ServerOutage { servers: ServerSet::All },
+        );
+        assert!(!plan.server_down(0, t(150.0)));
+        assert!(!plan.server_down(0, t(200.0)));
+        let mut latch = ServerChaosLatch::new(&plan);
+        assert!(!plan.take_restarts(&mut latch, 0, t(199.0)));
+        assert!(plan.take_restarts(&mut latch, 0, t(200.0)));
     }
 
     #[test]
@@ -698,6 +939,100 @@ mod tests {
         }
         for c in 0..8u32 {
             assert_eq!(plan.take_client_steps(&mut latch, c as usize, c, t(42.0)), Some(7.0));
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use devtools::prop;
+    use devtools::{prop_assert, prop_assert_eq, props};
+
+    /// A generated window: (kind 0..8, start, length, probability or
+    /// scale, domain pick 0..3).
+    type Row = (usize, f64, f64, f64, usize);
+
+    /// The plan `rows` describe, with every row whose kind `muted`
+    /// names moved past all query instants. Muting keeps each other
+    /// window's draws: a lane depends only on the seed and the row index.
+    fn build(seed: u64, rows: &[Row], muted: &[usize]) -> FleetFaultPlan {
+        rows.iter().fold(FleetFaultPlan::new(seed), |plan, &(kind, start, len, p, pick)| {
+            let region = ClientRange::new(pick as u32, 3);
+            let servers = if pick == 0 { ServerSet::All } else { ServerSet::One(pick) };
+            let event = match kind {
+                0 => ChaosEvent::RegionalLossStorm { region, loss_prob: p },
+                1 => ChaosEvent::RegionalDelaySpike {
+                    region,
+                    extra_up_ms: 100.0 * p,
+                    extra_down_ms: 50.0,
+                },
+                2 => ChaosEvent::ServerOutage { servers },
+                3 => ChaosEvent::FalsetickerOnset { server: pick, error_ms: 100.0 * p },
+                4 => ChaosEvent::ClockStepWave { region, offset_ms: 100.0 * p },
+                5 => ChaosEvent::KissODeath { servers, min_poll_secs: 100.0 * p },
+                6 => ChaosEvent::DuplicateReply { prob: p },
+                _ => ChaosEvent::CorruptReply { prob: p },
+            };
+            let start = if muted.contains(&kind) { 1e6 } else { start };
+            plan.window(start, start + len, event)
+        })
+    }
+
+    props! {
+        /// `downlink_fate` over random plans drawing from all eight
+        /// kinds: Drop exactly when `drop_downlink` says so, drop
+        /// outranks corrupt outranks duplicate, no reply-mangling window
+        /// means no Corrupt or Duplicate, and query order is irrelevant.
+        fn downlink_fate_ranks_drop_then_corrupt_then_duplicate(
+            seed in prop::any_u64(),
+            rows in prop::vecs(
+                (
+                    prop::sizes(0..8),
+                    prop::floats(0.0..60.0),
+                    prop::floats(0.0..40.0),
+                    prop::floats(0.0..1.0),
+                    prop::sizes(0..3),
+                ),
+                0..8
+            )
+        ) {
+            let full = build(seed, &rows, &[]);
+            let no_drop = build(seed, &rows, &[0, 2]);
+            let no_dup = build(seed, &rows, &[6]);
+            let no_mangle = build(seed, &rows, &[6, 7]);
+            let queries: Vec<(u32, usize, SimTime)> = (0..3u32)
+                .flat_map(|c| (0..3usize).map(move |s| (c, s)))
+                .flat_map(|(c, s)| {
+                    (0..50).map(move |i| (c, s, SimTime::from_millis(i * 1700)))
+                })
+                .collect();
+            let fates: Vec<PacketFate> =
+                queries.iter().map(|&(c, s, at)| full.downlink_fate(c, s, at)).collect();
+            for (&(c, s, at), &fate) in queries.iter().zip(&fates) {
+                prop_assert_eq!(fate == PacketFate::Drop, full.drop_downlink(c, s, at));
+                // Below a drop, the answer is the drop-free plan's.
+                if fate != PacketFate::Drop {
+                    prop_assert_eq!(fate, no_drop.downlink_fate(c, s, at));
+                }
+                // Duplicate windows only ever add Duplicate, and never
+                // over a corruption.
+                let without_dup =
+                    if fate == PacketFate::Duplicate { PacketFate::Deliver } else { fate };
+                prop_assert_eq!(no_dup.downlink_fate(c, s, at), without_dup);
+                let plain = no_mangle.downlink_fate(c, s, at);
+                prop_assert!(
+                    matches!(plain, PacketFate::Deliver | PacketFate::Drop),
+                    "no mangling window, yet {plain:?}"
+                );
+                prop_assert_eq!(plain == PacketFate::Drop, fate == PacketFate::Drop);
+            }
+            // The same queries backwards, on a clone: the same answers.
+            let again = full.clone();
+            let mut backwards: Vec<PacketFate> =
+                queries.iter().rev().map(|&(c, s, at)| again.downlink_fate(c, s, at)).collect();
+            backwards.reverse();
+            prop_assert_eq!(backwards, fates);
         }
     }
 }

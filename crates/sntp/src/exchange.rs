@@ -20,12 +20,14 @@
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::ClockControl;
-use netsim::faults::{FaultInjector, PacketFate};
-use netsim::Testbed;
+use netsim::{DeviceChaos, PacketFate, Testbed};
 use ntp_wire::NtpDuration;
 
 use crate::client::{OffsetSample, ReplyOutcome, SntpClient};
 use crate::server::SimServer;
+
+/// The device's client id in its fault plan.
+const DEVICE: u32 = DeviceChaos::CLIENT;
 
 /// Why an exchange failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,7 +42,7 @@ pub enum ExchangeError {
     LostLastHopDown,
     /// Reply arrived but failed parsing or sanity checks.
     RejectedReply,
-    /// Packet swallowed by a scheduled server outage (fault layer).
+    /// Packet swallowed by a scheduled server outage (fault plan).
     Blackholed,
     /// The reply arrived after the per-query timeout; the request was
     /// abandoned and the late reply rejected.
@@ -98,11 +100,12 @@ pub fn perform_exchange(
 }
 
 /// One request/reply round trip starting at true time `t`, optionally
-/// through a fault layer, under a per-query timeout, and observed by a
+/// through a fault plan, under a per-query timeout, and observed by a
 /// client-side capture.
 ///
-/// With `faults`, the [`FaultInjector`] is consulted at every stage, *on
-/// top of* the testbed's own channel models (a packet must survive both):
+/// With `faults`, the device's fault plan (it is client
+/// [`DeviceChaos::CLIENT`]) is consulted at every stage, *on top of* the
+/// testbed's own channel models (a packet must survive both):
 ///
 /// * due client clock steps (suspend/resume) are applied before T1 is
 ///   read, and a due falseticker onset steps the server's clock;
@@ -127,7 +130,7 @@ pub fn perform_exchange_with(
     server: &mut SimServer,
     clock: &mut dyn ClockControl,
     t: SimTime,
-    mut faults: Option<&mut FaultInjector>,
+    faults: Option<&mut DeviceChaos>,
     timeout: Option<SimDuration>,
     mut capture: Option<&mut Vec<TracedPacket>>,
 ) -> Result<CompletedExchange, ExchangeError> {
@@ -137,22 +140,26 @@ pub fn perform_exchange_with(
     // *later* clock state than the nominal departure time, biasing the
     // measured offset by half the discrepancy.
     let t = t.max(clock.position());
-    if let Some(f) = faults.as_deref_mut() {
-        // Suspend/resume: the device wakes with its clock wrong.
-        for step_ms in f.take_clock_steps(t) {
-            clock.step(t, NtpDuration::from_seconds_f64(step_ms / 1e3));
+    let plan = match faults {
+        Some(DeviceChaos { plan, client_latch, server_latch }) => {
+            // Suspend/resume: the device wakes with its clock wrong.
+            if let Some(step_ms) = plan.take_client_steps(client_latch, 0, DEVICE, t) {
+                clock.step(t, NtpDuration::from_seconds_f64(step_ms / 1e3));
+            }
+            // A good server going bad: its reference clock steps once.
+            if let Some(err_ms) = plan.take_falseticker_onsets(server_latch, server.id, t) {
+                server.clock.step(t, NtpDuration::from_seconds_f64(err_ms / 1e3));
+            }
+            // The plan owns the rate-limit knob of servers it schedules
+            // KoD windows for: limiting on inside the window, off
+            // outside.
+            if plan.kod_manages(server.id) {
+                server.min_poll_interval = plan.kod_min_poll(server.id, t);
+            }
+            Some(&*plan)
         }
-        // A good server going bad: its reference clock steps once.
-        if let Some(err_ms) = f.take_falseticker_onset(t, server.id) {
-            server.clock.step(t, NtpDuration::from_seconds_f64(err_ms / 1e3));
-        }
-        // The fault layer owns the rate-limit knob of servers it
-        // schedules KoD windows for: limiting on inside the window, off
-        // outside.
-        if f.kod_manages(server.id) {
-            server.min_poll_interval = f.kod_min_poll(t, server.id);
-        }
-    }
+        None => None,
+    };
 
     let mut client = SntpClient::new();
     let t1 = clock.now(t);
@@ -161,9 +168,9 @@ pub fn perform_exchange_with(
         cap.push(TracedPacket { at: t, outbound: true, bytes: request.clone() });
     }
 
-    if let Some(f) = faults.as_deref_mut() {
-        if f.uplink_fate(t, server.id) == PacketFate::Drop {
-            return Err(if f.outage_active(t, server.id) {
+    if let Some(plan) = plan {
+        if plan.drop_uplink(DEVICE, server.id, t) {
+            return Err(if plan.server_down(server.id, t) {
                 ExchangeError::Blackholed
             } else {
                 ExchangeError::LostLastHopUp
@@ -182,27 +189,21 @@ pub fn perform_exchange_with(
     let Some(bb_up) = bb_up else {
         return Err(ExchangeError::LostBackboneUp);
     };
-    let spike_up = faults.as_deref_mut().map_or(SimDuration::ZERO, |f| f.extra_delay_up(t));
+    let spike_up = plan.map_or(SimDuration::ZERO, |p| p.extra_delay_up(DEVICE, t));
     let fwd = hop_up + bb_up + spike_up;
     let arrival = t + fwd;
 
     let (reply_bytes, departure) =
         server.handle(&request, arrival).map_err(|_| ExchangeError::RejectedReply)?;
 
-    let fate = match faults.as_deref_mut() {
-        Some(f) => {
-            let fate = f.downlink_fate(departure, server.id);
-            if fate == PacketFate::Drop {
-                return Err(if f.outage_active(departure, server.id) {
-                    ExchangeError::Blackholed
-                } else {
-                    ExchangeError::LostLastHopDown
-                });
-            }
-            fate
-        }
-        None => PacketFate::Deliver,
-    };
+    let fate = plan.map_or(PacketFate::Deliver, |p| p.downlink_fate(DEVICE, server.id, departure));
+    if fate == PacketFate::Drop {
+        return Err(if plan.is_some_and(|p| p.server_down(server.id, departure)) {
+            ExchangeError::Blackholed
+        } else {
+            ExchangeError::LostLastHopDown
+        });
+    }
     // Server → WAP.
     let bb_down = {
         let SimServer { backbone_down, rng, .. } = server;
@@ -211,7 +212,7 @@ pub fn perform_exchange_with(
     let Some(bb_down) = bb_down else {
         return Err(ExchangeError::LostBackboneDown);
     };
-    let spike_down = faults.map_or(SimDuration::ZERO, |f| f.extra_delay_down(departure));
+    let spike_down = plan.map_or(SimDuration::ZERO, |p| p.extra_delay_down(DEVICE, departure));
     // WAP → client. The downlink is sampled at the reply's arrival at the
     // WAP, so it sees the channel state of that moment.
     let at_wap = departure + bb_down + spike_down;
@@ -268,8 +269,8 @@ mod tests {
     use super::*;
     use crate::pool::{PoolConfig, ServerPool};
     use clocksim::{OscillatorConfig, SimClock, SimRng};
-    use netsim::faults::{FaultKind, FaultSchedule, ServerSet};
     use netsim::testbed::TestbedConfig;
+    use netsim::{ChaosEvent, ClientRange, FleetFaultPlan, ServerSet};
 
     fn perfect_clock() -> SimClock {
         SimClock::new(OscillatorConfig::perfect().build(SimRng::new(1)), SimTime::ZERO)
@@ -379,16 +380,21 @@ mod tests {
         assert!((done.sample.offset.as_millis_f64() - 500.0).abs() < 5.0);
     }
 
-    /// The round trip through a fault layer, uncaptured.
+    /// The round trip through a fault plan, uncaptured.
     fn faulted(
         tb: &mut Testbed,
         server: &mut SimServer,
         clock: &mut SimClock,
         t: SimTime,
-        faults: &mut FaultInjector,
+        faults: &mut DeviceChaos,
         timeout: Option<SimDuration>,
     ) -> Result<CompletedExchange, ExchangeError> {
         perform_exchange_with(tb, server, clock, t, Some(faults), timeout, None)
+    }
+
+    /// A device plan with one event over `[start, end)`.
+    fn one_event(start: f64, end: f64, event: ChaosEvent) -> DeviceChaos {
+        DeviceChaos::new(FleetFaultPlan::new(1).window(start, end, event))
     }
 
     fn quiet_pool(seed: u64) -> ServerPool {
@@ -406,7 +412,7 @@ mod tests {
 
     #[test]
     fn faulted_exchange_with_empty_schedule_matches_normal_path() {
-        let mut faults = FaultInjector::new(FaultSchedule::none(), 1);
+        let mut faults = DeviceChaos::new(FleetFaultPlan::none());
         let mut tb_a = Testbed::wired(20);
         let mut tb_b = Testbed::wired(20);
         let mut pool_a = quiet_pool(21);
@@ -427,16 +433,12 @@ mod tests {
 
     #[test]
     fn outage_blackholes_and_recovers() {
-        let sched = FaultSchedule::none().window(
-            100.0,
-            200.0,
-            FaultKind::ServerOutage { servers: ServerSet::All },
-        );
-        let mut faults = FaultInjector::new(sched, 2);
+        let mut faults =
+            one_event(100.0, 200.0, ChaosEvent::ServerOutage { servers: ServerSet::All });
         let mut tb = Testbed::wired(22);
         let mut pool = quiet_pool(23);
         let mut clock = perfect_clock();
-        let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut FaultInjector, s: i64| {
+        let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut DeviceChaos, s: i64| {
             faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
         };
         assert!(go(&mut tb, &mut pool, &mut clock, &mut faults, 50).is_ok());
@@ -445,18 +447,20 @@ mod tests {
             ExchangeError::Blackholed
         );
         assert!(go(&mut tb, &mut pool, &mut clock, &mut faults, 250).is_ok());
-        assert!(faults.stats.dropped_up >= 1);
     }
 
     #[test]
     fn slow_reply_times_out_and_is_not_applied() {
         // 800 ms of extra downlink delay against a 500 ms budget.
-        let sched = FaultSchedule::none().window(
+        let mut faults = one_event(
             0.0,
             1e9,
-            FaultKind::DelaySpike { extra_up_ms: 0.0, extra_down_ms: 800.0 },
+            ChaosEvent::RegionalDelaySpike {
+                region: ClientRange::all(1),
+                extra_up_ms: 0.0,
+                extra_down_ms: 800.0,
+            },
         );
-        let mut faults = FaultInjector::new(sched, 3);
         let mut tb = Testbed::wired(24);
         let mut pool = quiet_pool(25);
         let mut clock = perfect_clock();
@@ -484,9 +488,7 @@ mod tests {
 
     #[test]
     fn corrupted_replies_are_rejected() {
-        let sched =
-            FaultSchedule::none().window(0.0, 1e9, FaultKind::CorruptReply { prob: 1.0 });
-        let mut faults = FaultInjector::new(sched, 4);
+        let mut faults = one_event(0.0, 1e9, ChaosEvent::CorruptReply { prob: 1.0 });
         let mut tb = Testbed::wired(26);
         let mut pool = quiet_pool(27);
         let mut clock = perfect_clock();
@@ -500,14 +502,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ExchangeError::RejectedReply);
-        assert_eq!(faults.stats.corrupted, 1);
     }
 
     #[test]
     fn duplicated_replies_apply_exactly_once() {
-        let sched =
-            FaultSchedule::none().window(0.0, 1e9, FaultKind::DuplicateReply { prob: 1.0 });
-        let mut faults = FaultInjector::new(sched, 5);
+        let mut faults = one_event(0.0, 1e9, ChaosEvent::DuplicateReply { prob: 1.0 });
         let mut tb = Testbed::wired(28);
         let mut pool = quiet_pool(29);
         let mut clock = perfect_clock();
@@ -523,21 +522,19 @@ mod tests {
         )
         .unwrap();
         assert!(done.sample.offset.as_millis_f64().abs() < 50.0);
-        assert_eq!(faults.stats.duplicated, 1);
     }
 
     #[test]
     fn kod_window_turns_rate_limiting_on_and_off() {
-        let sched = FaultSchedule::none().window(
+        let mut faults = one_event(
             100.0,
             200.0,
-            FaultKind::KissODeath { servers: ServerSet::One(0), min_poll_secs: 64.0 },
+            ChaosEvent::KissODeath { servers: ServerSet::One(0), min_poll_secs: 64.0 },
         );
-        let mut faults = FaultInjector::new(sched, 6);
         let mut tb = Testbed::wired(30);
         let mut pool = quiet_pool(31);
         let mut clock = perfect_clock();
-        let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut FaultInjector, s: i64| {
+        let go = |tb: &mut Testbed, pool: &mut ServerPool, clock: &mut SimClock, faults: &mut DeviceChaos, s: i64| {
             faulted(tb, pool.server_mut(0), clock, SimTime::from_secs(s), faults, None)
         };
         // Inside the window, polls 10 s apart: first primes the limiter,
@@ -555,9 +552,10 @@ mod tests {
 
     #[test]
     fn falseticker_onset_shifts_measured_offset() {
-        let sched = FaultSchedule::none()
-            .at(100.0, FaultKind::FalsetickerOnset { server: 0, error_ms: 300.0 });
-        let mut faults = FaultInjector::new(sched, 7);
+        let mut faults = DeviceChaos::new(
+            FleetFaultPlan::new(7)
+                .at(100.0, ChaosEvent::FalsetickerOnset { server: 0, error_ms: 300.0 }),
+        );
         let mut tb = Testbed::wired(32);
         let mut pool = quiet_pool(33);
         let mut clock = perfect_clock();
@@ -578,30 +576,42 @@ mod tests {
     fn client_clock_step_appears_in_offset() {
         // The device sleeps and wakes 400 ms behind: the server then
         // appears 400 ms *ahead*.
-        let sched = FaultSchedule::none().at(100.0, FaultKind::ClockStep { offset_ms: -400.0 });
-        let mut faults = FaultInjector::new(sched, 8);
+        let mut faults = DeviceChaos::new(FleetFaultPlan::new(8).at(
+            100.0,
+            ChaosEvent::ClockStepWave { region: ClientRange::all(1), offset_ms: -400.0 },
+        ));
         let mut tb = Testbed::wired(34);
         let mut pool = quiet_pool(35);
         let mut clock = perfect_clock();
-        let done = faulted(
-            &mut tb, pool.server_mut(0), &mut clock, SimTime::from_secs(150), &mut faults, None,
-        )
-        .unwrap();
-        assert!((done.sample.offset.as_millis_f64() - 400.0).abs() < 50.0);
-        assert_eq!(faults.stats.clock_steps, 1);
+        for s in [150, 250] {
+            // The step fires once: the second exchange sees the same
+            // 400 ms, not 800.
+            let done = faulted(
+                &mut tb, pool.server_mut(0), &mut clock, SimTime::from_secs(s), &mut faults, None,
+            )
+            .unwrap();
+            assert!((done.sample.offset.as_millis_f64() - 400.0).abs() < 50.0);
+        }
     }
 
     /// The whole faulted pipeline replays bit-identically for a fixed
-    /// (schedule, seed) — the contract the fault-sweep artifacts and the
+    /// plan — the contract the fault-sweep artifacts and the
     /// parallel-equivalence suite build on.
     #[test]
     fn faulted_exchange_sequence_is_deterministic() {
         let run = || {
-            let sched = FaultSchedule::none()
-                .window(0.0, 2000.0, FaultKind::LossStorm { loss_prob: 0.3 })
-                .window(500.0, 1500.0, FaultKind::DuplicateReply { prob: 0.5 })
-                .at(800.0, FaultKind::ClockStep { offset_ms: 120.0 });
-            let mut faults = FaultInjector::new(sched, 99);
+            let plan = FleetFaultPlan::new(99)
+                .window(
+                    0.0,
+                    2000.0,
+                    ChaosEvent::RegionalLossStorm { region: ClientRange::all(1), loss_prob: 0.3 },
+                )
+                .window(500.0, 1500.0, ChaosEvent::DuplicateReply { prob: 0.5 })
+                .at(
+                    800.0,
+                    ChaosEvent::ClockStepWave { region: ClientRange::all(1), offset_ms: 120.0 },
+                );
+            let mut faults = DeviceChaos::new(plan);
             let mut tb = Testbed::wireless(TestbedConfig::default(), 36);
             let mut pool = quiet_pool(37);
             let mut clock = perfect_clock();

@@ -34,8 +34,8 @@
 //!
 //! The hardened-client surface ([`exchange::perform_exchange_with`],
 //! [`pool::HealthTracker`], kiss-o'-death handling via
-//! [`client::ReplyOutcome`]) composes with `netsim::faults` to survive
-//! the episodic failures the fault layer injects.
+//! [`client::ReplyOutcome`]) composes with `netsim::chaos` to survive
+//! the episodic failures a fault plan injects.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -66,16 +66,19 @@ cmp results/fullscale.txt "$tmp/fullscale.txt"
 
 # e2ebench/ is a standalone package outside the workspace, so the steps
 # above never compile it; build and test it here so an API move in the
-# crates it calls cannot break it unnoticed.
+# crates it calls cannot break it unnoticed. It builds into the
+# workspace's target directory, as e2ebench/run.sh does: the workspace
+# crates compile once, and a timing after CI runs the binary CI built.
 echo "== end-to-end benchmark package builds and passes its tests =="
-cargo build --release --offline --manifest-path e2ebench/Cargo.toml
-cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+e2e_target="${CARGO_TARGET_DIR:-target}"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target"
 
 # e2ebench's own tests use 400 clients; this one repetition runs the
 # serial engine (one shard, whose ring is handed over) against the
 # 8-shard engine (the merge) on all 5.6 M datagrams and a 400k-key table.
 echo "== servercore-ingest at full scale: serial and 8-shard engines agree =="
-last="$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- \
+last="$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target" -- \
     --workload servercore-ingest --reps 1 --trace 0 --out "$tmp/e2e" | tail -n 1)"
 case "$last" in
     *'"correct":true'*) ;;

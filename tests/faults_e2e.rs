@@ -5,13 +5,13 @@
 //! its *fitted* drift (not the raw oscillator skew), and re-sync once
 //! the outage lifts — while the naive stepping SNTP baseline visibly
 //! degrades at the raw skew for the whole window. The same fault
-//! schedule must also replay bit-identically.
+//! plan must also replay bit-identically.
 
 use clocksim::time::{SimDuration, SimTime};
 use clocksim::{OscillatorConfig, SimClock, SimRng};
 use mntp::{drive, ApplyMode, DriverConfig, MntpConfig, MntpDiscipline, RobustConfig};
 use netsim::testbed::TestbedConfig;
-use netsim::{FaultInjector, FaultKind, FaultSchedule, ServerSet, Testbed};
+use netsim::{ChaosEvent, DeviceChaos, FleetFaultPlan, ServerSet, Testbed};
 use sntp::{perform_exchange_with, PoolConfig, ServerPool};
 
 /// The outage window, seconds into the run.
@@ -21,12 +21,12 @@ const DURATION: u64 = 5400;
 /// window — what an undisciplined clock loses.
 const SKEW_PPM: f64 = 40.0;
 
-fn outage_schedule() -> FaultSchedule {
-    FaultSchedule::none().window(
+fn outage_plan(seed: u64) -> DeviceChaos {
+    DeviceChaos::new(FleetFaultPlan::new(seed).window(
         OUTAGE.0,
         OUTAGE.1,
-        FaultKind::ServerOutage { servers: ServerSet::All },
-    )
+        ChaosEvent::ServerOutage { servers: ServerSet::All },
+    ))
 }
 
 fn free_clock(seed: u64) -> SimClock {
@@ -38,7 +38,7 @@ fn mntp_outage_run(seed: u64) -> mntp::MntpRun {
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = ServerPool::new(PoolConfig::default(), seed + 1);
     let mut clock = free_clock(seed + 2);
-    let mut faults = FaultInjector::new(outage_schedule(), seed + 3);
+    let mut faults = outage_plan(seed + 3);
     let cfg = MntpConfig {
         warmup_period_secs: 300.0,
         warmup_wait_secs: 10.0,
@@ -55,13 +55,13 @@ fn mntp_outage_run(seed: u64) -> mntp::MntpRun {
     drive(&mut d, &mut tb, &mut pool, &mut clock, Some(&mut faults), &dcfg)
 }
 
-/// Naive SNTP through the same fault layer: poll every 5 s, step on
+/// Naive SNTP through the same fault plan: poll every 5 s, step on
 /// every reply, no health tracking. Returns `(t, true error ms)`.
 fn sntp_outage_errors(seed: u64) -> Vec<(f64, f64)> {
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = ServerPool::new(PoolConfig::default(), seed + 1);
     let mut clock = free_clock(seed + 2);
-    let mut faults = FaultInjector::new(outage_schedule(), seed + 3);
+    let mut faults = outage_plan(seed + 3);
     let timeout = Some(SimDuration::from_secs_f64(1.0));
     let mut errors = Vec::new();
     for i in 0..=(DURATION / 5) {

@@ -61,8 +61,8 @@ fn repro_artifacts_identical_serial_vs_parallel() {
 }
 
 /// The fault sweep drives every injected-fault scenario through three
-/// protocol arms; its artifact (including each arm's FaultInjector RNG
-/// consumption) must be byte-identical at any worker count.
+/// protocol arms; its artifact (each arm's plan draws included) must be
+/// byte-identical at any worker count.
 #[test]
 fn faultsweep_artifact_identical_serial_vs_parallel() {
     let ids = ["faultsweep"];
