@@ -110,17 +110,31 @@ pub trait Discipline: Send {
 /// Which kind of round an [`MntpDiscipline`] has in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum RoundKind {
-    Single,
+    /// Warmup: distinct sources whose offsets go to the engine's
+    /// false-ticker test.
     Warmup,
+    /// Regular phase: one source, whose answer is the sample.
+    Single,
+    /// Resilient regular phase: distinct sources combined by selection.
+    FanOut,
 }
 
 /// The full MNTP Algorithm 1 engine as a [`Discipline`].
 ///
-/// Three configurations:
+/// Four configurations:
 /// [`full`](MntpDiscipline::full) (plain engine),
-/// [`autotuned`](MntpDiscipline::autotuned) (AIMD wait tuning), and
+/// [`autotuned`](MntpDiscipline::autotuned) (AIMD wait tuning),
 /// [`hardened`](MntpDiscipline::hardened) (health-tracked server
-/// selection, kiss-o'-death honoring, holdover observability).
+/// selection, kiss-o'-death honoring, holdover observability), and
+/// [`resilient`](MntpDiscipline::resilient) (hardened plus regular-phase
+/// fan-out through falseticker-resilient selection).
+/// [`with_autotune`](MntpDiscipline::with_autotune) adds the tuner to any
+/// of them.
+///
+/// Every round goes through one [`complete`](Discipline::complete):
+/// health is recorded for each answer, the round yields at most one
+/// sample, and the engine's verdict on it becomes the round's
+/// [`QueryOutcome`]; a round with no sample takes the one failure path.
 pub struct MntpDiscipline {
     engine: Mntp,
     tuner: Option<AutoTuner>,
@@ -147,26 +161,15 @@ impl MntpDiscipline {
 
     /// Engine plus the AIMD self-tuner adjusting the regular-phase wait.
     pub fn autotuned(cfg: MntpConfig, tune: crate::autotune::AutoTuneConfig) -> Self {
-        MntpDiscipline {
-            engine: Mntp::new(cfg),
-            tuner: Some(AutoTuner::new(tune)),
-            health: None,
-            round: RoundKind::Single,
-            resilient_fanout: None,
-        }
+        MntpDiscipline::full(cfg).with_autotune(tune)
     }
 
     /// The hardened stack: server selection through a health tracker
     /// sized for a pool of `pool_len` servers, per
     /// [`RobustConfig::health`].
     pub fn hardened(cfg: MntpConfig, rcfg: &RobustConfig, pool_len: usize) -> Self {
-        MntpDiscipline {
-            engine: Mntp::new(cfg),
-            tuner: None,
-            health: Some(HealthTracker::new(pool_len, rcfg.health.clone(), rcfg.health_seed)),
-            round: RoundKind::Single,
-            resilient_fanout: None,
-        }
+        let health = HealthTracker::new(pool_len, rcfg.health, rcfg.health_seed);
+        MntpDiscipline { health: Some(health), ..MntpDiscipline::full(cfg) }
     }
 
     /// The falseticker-resilient stack: [`hardened`] plus regular-phase
@@ -208,182 +211,16 @@ impl MntpDiscipline {
         self.engine.phase()
     }
 
-    fn warmup_complete(
-        &mut self,
-        t: SimTime,
-        clock: &mut SimClock,
-        round: &[ExchangeResult],
-    ) -> QueryOutcome {
-        let ts = t.as_secs_f64();
-        let mut offsets = Vec::new();
-        for r in round {
-            match r.outcome {
-                Ok(done) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_success(r.server_id, ts);
-                    }
-                    offsets.push(done.sample.offset.as_millis_f64());
-                }
-                Err(ExchangeError::KissODeath(code)) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_kod(r.server_id, code, ts);
-                    }
-                }
-                Err(_) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_failure(r.server_id, ts);
-                    }
-                }
-            }
-        }
-        if offsets.is_empty() {
-            self.engine.on_query_failed(clock.now(t));
-            return QueryOutcome::Failed;
-        }
-        if self.tuner.is_some() {
-            // The autotuned driver never attributed false-ticker
-            // rejections per round; preserved for artifact stability.
-            self.engine.on_warmup_round(clock.now(t), &offsets);
-            return QueryOutcome::WarmupRound { offsets_ms: offsets, false_tickers: 0 };
-        }
-        let before = self.engine.stats.false_tickers_rejected;
-        self.engine.on_warmup_round(clock.now(t), &offsets);
-        QueryOutcome::WarmupRound {
-            offsets_ms: offsets,
-            false_tickers: (self.engine.stats.false_tickers_rejected - before) as usize,
-        }
-    }
-
-    /// A fan-out regular round: health accounting for every entry, then
-    /// selection over the answers. The combined offset feeds the engine
-    /// exactly like a single-server sample; servers the selection
-    /// discarded are demoted in the health tracker so future rounds
-    /// de-prioritize them.
-    fn resilient_complete(
-        &mut self,
-        t: SimTime,
-        clock: &mut SimClock,
-        round: &[ExchangeResult],
-    ) -> QueryOutcome {
-        let ts = t.as_secs_f64();
-        for r in round {
-            match r.outcome {
-                Ok(_) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_success(r.server_id, ts);
-                    }
-                }
-                Err(ExchangeError::KissODeath(code)) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_kod(r.server_id, code, ts);
-                    }
-                }
-                Err(_) => {
-                    if let Some(h) = &mut self.health {
-                        h.on_failure(r.server_id, ts);
-                    }
-                }
-            }
-        }
-        match crate::selection::select_round(round) {
-            Some(sel) => {
-                if let Some(h) = &mut self.health {
-                    for id in &sel.discarded {
-                        h.on_failure(*id, ts);
-                    }
-                }
-                let verdict = self.engine.on_regular_sample(clock.now(t), sel.offset_ms);
-                if let Some(tu) = &mut self.tuner {
-                    self.engine.set_regular_wait_secs(tu.on_verdict(&verdict));
-                }
-                match verdict {
-                    SampleVerdict::Accepted { offset_ms } => QueryOutcome::Accepted { offset_ms },
-                    SampleVerdict::Rejected { offset_ms } => QueryOutcome::Rejected { offset_ms },
-                    SampleVerdict::Recovered { offset_ms } => QueryOutcome::Recovered { offset_ms },
-                }
-            }
-            None => {
-                // No majority clique (or nothing answered): the round
-                // produced no trustworthy sample. Surface a KoD if one
-                // arrived — the fleet's rate accounting depends on it.
-                let kod = round.iter().find_map(|r| match r.outcome {
-                    Err(ExchangeError::KissODeath(code)) => Some(code),
-                    _ => None,
-                });
-                self.engine.on_query_failed(clock.now(t));
-                match kod {
-                    Some(code) => QueryOutcome::KissODeath { code },
-                    None if self.engine.phase() == Phase::Holdover => {
-                        QueryOutcome::HoldoverFailed {
-                            predicted_ms: self.engine.predicted_offset_ms(clock.now(t)),
-                        }
-                    }
-                    None => QueryOutcome::Failed,
-                }
-            }
-        }
-    }
-
-    fn single_complete(
-        &mut self,
-        t: SimTime,
-        clock: &mut SimClock,
-        round: &[ExchangeResult],
-    ) -> QueryOutcome {
-        let ts = t.as_secs_f64();
-        let Some(r) = round.first() else {
-            return QueryOutcome::Failed;
-        };
-        match r.outcome {
-            Ok(done) => {
-                if let Some(h) = &mut self.health {
-                    h.on_success(r.server_id, ts);
-                }
-                let ms = done.sample.offset.as_millis_f64();
-                let verdict = self.engine.on_regular_sample(clock.now(t), ms);
-                if let Some(tu) = &mut self.tuner {
-                    self.engine.set_regular_wait_secs(tu.on_verdict(&verdict));
-                }
-                match verdict {
-                    SampleVerdict::Accepted { offset_ms } => QueryOutcome::Accepted { offset_ms },
-                    SampleVerdict::Rejected { offset_ms } => QueryOutcome::Rejected { offset_ms },
-                    SampleVerdict::Recovered { offset_ms } => QueryOutcome::Recovered { offset_ms },
-                }
-            }
-            Err(err) => {
-                if self.health.is_some() {
-                    let noted = match err {
-                        ExchangeError::KissODeath(code) => {
-                            if let Some(h) = &mut self.health {
-                                h.on_kod(r.server_id, code, ts);
-                            }
-                            Some(QueryOutcome::KissODeath { code })
-                        }
-                        _ => {
-                            if let Some(h) = &mut self.health {
-                                h.on_failure(r.server_id, ts);
-                            }
-                            None
-                        }
-                    };
-                    self.engine.on_query_failed(clock.now(t));
-                    match noted {
-                        Some(o) => o,
-                        None if self.engine.phase() == Phase::Holdover => {
-                            QueryOutcome::HoldoverFailed {
-                                predicted_ms: self.engine.predicted_offset_ms(clock.now(t)),
-                            }
-                        }
-                        None => QueryOutcome::Failed,
-                    }
-                } else {
-                    self.engine.on_query_failed(clock.now(t));
-                    if let Some(tu) = &mut self.tuner {
-                        self.engine.set_regular_wait_secs(tu.on_failure());
-                    }
-                    QueryOutcome::Failed
-                }
-            }
+    /// The servers for a round of the current kind: `n` distinct ones,
+    /// or one for a single round; drawn by the health tracker when the
+    /// stack has one, else from `select`.
+    fn pick(&mut self, n: usize, t: SimTime, select: &mut dyn ServerSelect) -> Vec<usize> {
+        let single = self.round == RoundKind::Single;
+        match &mut self.health {
+            Some(h) if single => vec![h.pick(t.as_secs_f64())],
+            Some(h) => h.pick_distinct(n, t.as_secs_f64()),
+            None if single => vec![select.pick()],
+            None => select.pick_distinct(n),
         }
     }
 }
@@ -396,40 +233,17 @@ impl Discipline for MntpDiscipline {
         hints: Option<&WirelessHints>,
         select: &mut dyn ServerSelect,
     ) -> Directive {
-        let now_local = clock.now(t);
-        let deferred_before = self.engine.stats.deferred;
-        match self.engine.on_tick(now_local, hints) {
-            MntpAction::Wait => Directive::Idle {
-                record_deferred: self.engine.stats.deferred > deferred_before,
+        let (round, n) = match self.engine.on_tick(clock.now(t), hints) {
+            MntpAction::Wait => return Directive::Idle { record_deferred: false },
+            MntpAction::Deferred => return Directive::Idle { record_deferred: true },
+            MntpAction::QueryMultiple(n) => (RoundKind::Warmup, n),
+            MntpAction::QuerySingle => match self.resilient_fanout {
+                Some(n) => (RoundKind::FanOut, n),
+                None => (RoundKind::Single, 1),
             },
-            MntpAction::QueryMultiple(n) => {
-                self.round = RoundKind::Warmup;
-                let ids = match &mut self.health {
-                    Some(h) => h.pick_distinct(n, t.as_secs_f64()),
-                    None => select.pick_distinct(n),
-                };
-                Directive::Query(ids)
-            }
-            MntpAction::QuerySingle => {
-                self.round = RoundKind::Single;
-                match self.resilient_fanout {
-                    Some(n) => {
-                        let ids = match &mut self.health {
-                            Some(h) => h.pick_distinct(n, t.as_secs_f64()),
-                            None => select.pick_distinct(n),
-                        };
-                        Directive::Query(ids)
-                    }
-                    None => {
-                        let id = match &mut self.health {
-                            Some(h) => h.pick(t.as_secs_f64()),
-                            None => select.pick(),
-                        };
-                        Directive::Query(vec![id])
-                    }
-                }
-            }
-        }
+        };
+        self.round = round;
+        Directive::Query(self.pick(n, t, select))
     }
 
     fn complete(
@@ -438,12 +252,77 @@ impl Discipline for MntpDiscipline {
         clock: &mut SimClock,
         round: &[ExchangeResult],
     ) -> Option<QueryOutcome> {
-        Some(match self.round {
-            RoundKind::Warmup => self.warmup_complete(t, clock, round),
-            RoundKind::Single if self.resilient_fanout.is_some() => {
-                self.resilient_complete(t, clock, round)
+        let ts = t.as_secs_f64();
+        if let Some(h) = &mut self.health {
+            for r in round {
+                match r.outcome {
+                    Ok(_) => h.on_success(r.server_id, ts),
+                    Err(ExchangeError::KissODeath(code)) => h.on_kod(r.server_id, code, ts),
+                    Err(_) => h.on_failure(r.server_id, ts),
+                }
             }
-            RoundKind::Single => self.single_complete(t, clock, round),
+        }
+        let now = clock.now(t);
+        let answer_ms =
+            |r: &ExchangeResult| r.outcome.ok().map(|d| d.sample.offset.as_millis_f64());
+        let sample = match self.round {
+            RoundKind::Warmup => {
+                // An unanswered warmup round is a plain failure: never a
+                // KoD record, and no tuner input.
+                let offsets: Vec<f64> = round.iter().filter_map(answer_ms).collect();
+                return Some(match self.engine.on_warmup_round(now, &offsets) {
+                    Some(v) => QueryOutcome::WarmupRound {
+                        offsets_ms: offsets,
+                        false_tickers: v.false_tickers,
+                    },
+                    None => QueryOutcome::Failed,
+                });
+            }
+            RoundKind::Single => round.first().and_then(answer_ms),
+            // Servers the selection discarded are demoted, so future
+            // rounds de-prioritize them.
+            RoundKind::FanOut => crate::selection::select_round(round).map(|sel| {
+                if let Some(h) = &mut self.health {
+                    for id in &sel.discarded {
+                        h.on_failure(*id, ts);
+                    }
+                }
+                sel.offset_ms
+            }),
+        };
+        let Some(sample) = sample else {
+            self.engine.on_query_failed(now);
+            if self.health.is_none() {
+                // The plain stacks report every failure alike and let
+                // the tuner back off.
+                if let Some(tu) = &mut self.tuner {
+                    self.engine.set_regular_wait_secs(tu.on_failure());
+                }
+                return Some(QueryOutcome::Failed);
+            }
+            // The health stacks surface a KoD if one arrived (the
+            // fleet's rate accounting depends on it) and report failed
+            // holdover probes.
+            let kod = round.iter().find_map(|r| match r.outcome {
+                Err(ExchangeError::KissODeath(code)) => Some(code),
+                _ => None,
+            });
+            return Some(match kod {
+                Some(code) => QueryOutcome::KissODeath { code },
+                None if self.engine.phase() == Phase::Holdover => QueryOutcome::HoldoverFailed {
+                    predicted_ms: self.engine.predicted_offset_ms(now),
+                },
+                None => QueryOutcome::Failed,
+            });
+        };
+        let verdict = self.engine.on_regular_sample(now, sample);
+        if let Some(tu) = &mut self.tuner {
+            self.engine.set_regular_wait_secs(tu.on_verdict(&verdict));
+        }
+        Some(match verdict {
+            SampleVerdict::Accepted { offset_ms } => QueryOutcome::Accepted { offset_ms },
+            SampleVerdict::Rejected { offset_ms } => QueryOutcome::Rejected { offset_ms },
+            SampleVerdict::Recovered { offset_ms } => QueryOutcome::Recovered { offset_ms },
         })
     }
 
@@ -604,6 +483,121 @@ mod tests {
         }
     }
 
+    fn kod(server_id: usize) -> ExchangeResult {
+        ExchangeResult { server_id, outcome: Err(ExchangeError::KissODeath(*b"RATE")) }
+    }
+
+    fn lost(server_id: usize) -> ExchangeResult {
+        ExchangeResult { server_id, outcome: Err(ExchangeError::Blackholed) }
+    }
+
+    /// One client on a one-second tick grid.
+    struct Rig {
+        clk: SimClock,
+        lane: PickLane,
+        s: u64,
+    }
+
+    impl Rig {
+        /// Tick `d` until it queries, answer the `k`-th server asked
+        /// with `answer(phase, k, id)` (`phase` is the engine's when it
+        /// asked), and return what `complete` made of the round.
+        fn round(
+            &mut self,
+            d: &mut MntpDiscipline,
+            answer: impl Fn(Phase, usize, usize) -> ExchangeResult,
+        ) -> QueryOutcome {
+            loop {
+                let t = SimTime::ZERO + SimDuration::from_secs_f64(self.s as f64);
+                self.s += 1;
+                assert!(self.s < 100_000, "no query came due");
+                if let Directive::Query(ids) =
+                    d.poll(t, &mut self.clk, Some(&good_hints()), &mut self.lane)
+                {
+                    let phase = d.phase();
+                    let round: Vec<ExchangeResult> =
+                        ids.iter().enumerate().map(|(k, &id)| answer(phase, k, id)).collect();
+                    return d
+                        .complete(t, &mut self.clk, &round)
+                        .expect("MNTP rounds have outcomes");
+                }
+            }
+        }
+    }
+
+    /// Each MNTP stack's outcome for (a) a warmup round with a false
+    /// ticker, (b) a warmup round with no answer, (c) a regular round of
+    /// RATE kisses and (d) a failed holdover probe. The plain stacks
+    /// report regular failures as `Failed` and back their tuner off; the
+    /// health stacks report the KoD and the holdover and leave any tuner
+    /// alone.
+    #[test]
+    fn each_stack_reports_its_round_outcomes() {
+        let cfg = MntpConfig {
+            warmup_period_secs: 100.0,
+            warmup_wait_secs: 10.0,
+            regular_wait_secs: 20.0,
+            min_warmup_samples: 5,
+            ..Default::default()
+        };
+        let rcfg = RobustConfig::default();
+        let tune = crate::autotune::AutoTuneConfig::default;
+        // (name, stack, health-tracked, tuner backoffs after (d))
+        let stacks = [
+            ("full", MntpDiscipline::full(cfg.clone()), false, None),
+            ("autotuned", MntpDiscipline::autotuned(cfg.clone(), tune()), false, Some(4)),
+            ("hardened", MntpDiscipline::hardened(cfg.clone(), &rcfg, 4), true, None),
+            (
+                "resilient",
+                MntpDiscipline::resilient(cfg.clone(), &rcfg, 4, 3).with_autotune(tune()),
+                true,
+                Some(0),
+            ),
+        ];
+        for (name, mut d, health, backoffs) in stacks {
+            let mut rig = Rig { clk: mk_clock(5), lane: PickLane::new(4, 0x99), s: 0 };
+            let out = rig.round(&mut d, |_, k, id| ok(id, [1.0, 1.2, 300.0][k]));
+            assert!(
+                matches!(out, QueryOutcome::WarmupRound { false_tickers: 1, .. }),
+                "{name} (a): {out:?}"
+            );
+            let out = rig.round(&mut d, |_, k, id| if k == 0 { kod(id) } else { lost(id) });
+            assert_eq!(out, QueryOutcome::Failed, "{name} (b)");
+            // Clean warmup rounds until the first regular round, (c).
+            let out = loop {
+                let out = rig.round(&mut d, |phase, _, id| match phase {
+                    Phase::Warmup => ok(id, 1.0),
+                    _ => kod(id),
+                });
+                if d.phase() != Phase::Warmup {
+                    break out;
+                }
+            };
+            let want = if health {
+                QueryOutcome::KissODeath { code: *b"RATE" }
+            } else {
+                QueryOutcome::Failed
+            };
+            assert_eq!(out, want, "{name} (c)");
+            for _ in 0..2 {
+                rig.round(&mut d, |_, _, id| lost(id));
+            }
+            assert_eq!(d.phase(), Phase::Holdover, "{name}: three failures trip holdover");
+            let out = rig.round(&mut d, |_, _, id| lost(id));
+            assert_eq!(
+                matches!(out, QueryOutcome::HoldoverFailed { .. }),
+                health,
+                "{name} (d): {out:?}"
+            );
+            if !health {
+                assert_eq!(out, QueryOutcome::Failed, "{name} (d)");
+            }
+            // (e) No regular round before (c) had a sample, so every
+            // backoff is a failure's.
+            assert_eq!(d.into_tuner().map(|tu| tu.decreases), backoffs, "{name} (e)");
+        }
+    }
+
     /// Drive a discipline for `secs` one-second ticks, answering every
     /// queried server via `respond`. Returns how many query rounds the
     /// discipline issued in each half of the horizon.
@@ -713,11 +707,8 @@ mod tests {
         fn outcome_for(code: i64, server_id: usize) -> ExchangeResult {
             match code {
                 0 => ok(server_id, 5.0),
-                1 => ExchangeResult {
-                    server_id,
-                    outcome: Err(ExchangeError::KissODeath(*b"RATE")),
-                },
-                2 => ExchangeResult { server_id, outcome: Err(ExchangeError::Blackholed) },
+                1 => kod(server_id),
+                2 => lost(server_id),
                 _ => ExchangeResult { server_id, outcome: Err(ExchangeError::RejectedReply) },
             }
         }

@@ -4,12 +4,16 @@
 //! calls [`Mntp::on_tick`] with the current *local* time and the current
 //! wireless hints; the engine answers with what to do
 //! ([`MntpAction::QueryMultiple`] during warmup,
-//! [`MntpAction::QuerySingle`] during the regular phase, or
-//! [`MntpAction::Wait`] when the gate defers or nothing is due). The
-//! driver performs the exchanges and feeds results back through
-//! [`Mntp::on_warmup_round`] / [`Mntp::on_regular_sample`]; clock
-//! corrections accumulate in a command queue drained with
-//! [`Mntp::take_commands`].
+//! [`MntpAction::QuerySingle`] during the regular phase,
+//! [`MntpAction::Deferred`] when a request was due but the hint gate
+//! said no, or [`MntpAction::Wait`] when nothing is due). The driver
+//! performs the exchanges and feeds results back through
+//! [`Mntp::on_warmup_round`] (a [`WarmupVerdict`], or `None` for a round
+//! nobody answered), [`Mntp::on_regular_sample`] (a [`SampleVerdict`])
+//! or [`Mntp::on_query_failed`]; clock corrections accumulate in a
+//! command queue drained with [`Mntp::take_commands`]. Every decision
+//! comes back as a value: the engine keeps no counters for callers to
+//! diff.
 //!
 //! Phase logic follows the paper exactly:
 //!
@@ -42,7 +46,7 @@ use netsim::WirelessHints;
 use ntp_wire::{NtpDuration, NtpTimestamp};
 
 use crate::config::{ApplyMode, MntpConfig};
-use crate::filter::{combine_round, reject_false_tickers, TrendFilter};
+use crate::filter::{combine_round, reject_false_tickers, FalseTickerVerdict, TrendFilter};
 use crate::gate::HintGate;
 
 /// Which phase of Algorithm 1 the engine is in.
@@ -60,12 +64,27 @@ pub enum Phase {
 /// What the driver should do right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MntpAction {
-    /// Nothing due, or the gate deferred the request.
+    /// Nothing is due.
     Wait,
+    /// A request was due, but the hint gate judged the channel
+    /// unfavorable (steps 5 / 17); it stays due for the next tick.
+    Deferred,
     /// Query this many distinct pool sources in parallel (warmup).
     QueryMultiple(usize),
     /// Query one source (regular phase).
     QuerySingle,
+}
+
+/// The engine's verdict on a warmup round that at least one source
+/// answered.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct WarmupVerdict {
+    /// The round's combined offset after false-ticker rejection, ms.
+    pub combined_ms: f64,
+    /// Whether the trend filter recorded it.
+    pub recorded: bool,
+    /// How many of the round's offsets the mean + 1σ test rejected.
+    pub false_tickers: usize,
 }
 
 /// The engine's verdict on a regular-phase sample.
@@ -90,31 +109,6 @@ pub enum SampleVerdict {
     },
 }
 
-/// Counters exposed for evaluation and the signals/selection plot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MntpStats {
-    /// Warmup rounds completed.
-    pub warmup_rounds: u64,
-    /// Individual source offsets rejected as false tickers.
-    pub false_tickers_rejected: u64,
-    /// Regular samples accepted.
-    pub accepted: u64,
-    /// Regular samples rejected by the trend filter.
-    pub rejected: u64,
-    /// Queries deferred by the hint gate.
-    pub deferred: u64,
-    /// Full resets performed.
-    pub resets: u64,
-    /// Query rounds that failed (all losses).
-    pub failures: u64,
-    /// Holdover episodes entered.
-    pub holdovers: u64,
-    /// Holdover episodes ended by a successful sample.
-    pub recoveries: u64,
-    /// Forced steps after a rejection streak (ntpd stepout analogue).
-    pub stepouts: u64,
-}
-
 /// The MNTP engine.
 #[derive(Clone, Debug)]
 pub struct Mntp {
@@ -126,8 +120,6 @@ pub struct Mntp {
     cycle_start: Option<NtpTimestamp>,
     /// Local time before which no request is due.
     next_request: Option<NtpTimestamp>,
-    /// Drift (ppm) already compensated via frequency trim.
-    applied_trim_ppm: f64,
     /// Query rounds failed since the last success (holdover trigger and
     /// backoff exponent).
     consecutive_failures: u32,
@@ -135,8 +127,6 @@ pub struct Mntp {
     /// tracking; cleared on any accept/recover/reset).
     reject_streak: Vec<f64>,
     pending: Vec<ClockCommand>,
-    /// Public counters.
-    pub stats: MntpStats,
 }
 
 impl Mntp {
@@ -151,11 +141,9 @@ impl Mntp {
             phase: Phase::Warmup,
             cycle_start: None,
             next_request: None,
-            applied_trim_ppm: 0.0,
             consecutive_failures: 0,
             reject_streak: Vec::new(),
             pending: Vec::new(),
-            stats: MntpStats::default(),
         }
     }
 
@@ -193,11 +181,6 @@ impl Mntp {
         self.cfg.regular_wait_secs = secs.max(1.0);
     }
 
-    /// The current regular-phase wait, seconds.
-    pub fn regular_wait_secs(&self) -> f64 {
-        self.cfg.regular_wait_secs
-    }
-
     /// Failures recorded since the last successful round.
     pub fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures
@@ -208,10 +191,9 @@ impl Mntp {
         self.reject_streak.clear();
         self.cycle_start = Some(now);
         self.next_request = Some(now);
-        self.filter = TrendFilter::new(self.cfg.filter_sigma, self.cfg.reestimate_drift);
         // The applied frequency trim persists — the clock really is
         // better; the new warmup estimates the *residual* drift.
-        self.stats.resets += 1;
+        self.filter = TrendFilter::new(self.cfg.filter_sigma, self.cfg.reestimate_drift);
     }
 
     /// Step the engine at local time `now` with the current hints.
@@ -252,8 +234,7 @@ impl Mntp {
         // marginal channel is no reason not to *try* (and a gate stuck
         // unfavorable must never be able to starve recovery).
         if self.phase != Phase::Holdover && !self.gate.favorable(hints) {
-            self.stats.deferred += 1;
-            return MntpAction::Wait;
+            return MntpAction::Deferred;
         }
         match self.phase {
             Phase::Warmup => MntpAction::QueryMultiple(self.cfg.warmup_sources),
@@ -270,56 +251,51 @@ impl Mntp {
     /// residual, not by the total. (Comparing the post-shear fit
     /// against the cumulative trim would undo each correction on the
     /// following round and leave the clock running at its raw skew.)
-    fn emit_trim_update(&mut self, _now: NtpTimestamp) {
+    fn emit_trim_update(&mut self, now: NtpTimestamp) {
         if self.cfg.apply_mode == ApplyMode::RecordOnly {
             return;
         }
         let Some(residual) = self.filter.drift_ppm() else { return };
         if residual.abs() > 0.1 {
             self.pending.push(ClockCommand::TrimFrequencyPpm(residual));
-            self.applied_trim_ppm += residual;
             // Future offsets will flatten by `residual`; shear history so
             // the trend keeps predicting what will actually be measured.
             if let Some(start) = self.cycle_start {
-                let pivot = elapsed_secs(start, _now);
+                let pivot = elapsed_secs(start, now);
                 self.filter.apply_rate_change(-residual * 1e-3, pivot);
             }
         }
     }
 
     /// Feed back a completed warmup round: one offset (ms) per source
-    /// that answered. Schedules the next warmup request. Returns the
-    /// combined (post-false-ticker) offset and whether the trend filter
-    /// recorded it, or `None` when the round was empty.
+    /// that answered. Schedules the next warmup request and returns the
+    /// round's [`WarmupVerdict`]. A round nobody answered is a failed
+    /// query round ([`Mntp::on_query_failed`]) and returns `None`.
     pub fn on_warmup_round(
         &mut self,
         now: NtpTimestamp,
         offsets_ms: &[f64],
-    ) -> Option<(f64, bool)> {
-        self.schedule_next(now, self.cfg.warmup_wait_secs);
+    ) -> Option<WarmupVerdict> {
         if offsets_ms.is_empty() {
-            self.stats.failures += 1;
-            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+            self.on_query_failed(now);
             return None;
         }
+        self.schedule_next(now, self.cfg.warmup_wait_secs);
         self.consecutive_failures = 0;
-        self.stats.warmup_rounds += 1;
         let verdicts = reject_false_tickers(offsets_ms, self.cfg.filter_sigma);
-        self.stats.false_tickers_rejected += verdicts
-            .iter()
-            .filter(|v| **v == crate::filter::FalseTickerVerdict::FalseTicker)
-            .count() as u64;
-        let combined = combine_round(offsets_ms, &verdicts);
+        let false_tickers =
+            verdicts.iter().filter(|v| **v == FalseTickerVerdict::FalseTicker).count();
+        let combined_ms = combine_round(offsets_ms, &verdicts);
         let t = elapsed_secs(self.cycle_start.unwrap_or(now), now);
         // Steps 7–9: bootstrap the first min_warmup_samples unchecked,
         // then run the trend accept test on later warmup samples too.
         let recorded = if self.filter.len() < self.cfg.min_warmup_samples {
-            self.filter.record_unchecked(t, combined);
+            self.filter.record_unchecked(t, combined_ms);
             true
         } else {
-            self.filter.offer(t, combined)
+            self.filter.offer(t, combined_ms)
         };
-        Some((combined, recorded))
+        Some(WarmupVerdict { combined_ms, recorded, false_tickers })
     }
 
     /// Feed back a regular-phase sample (offset in ms). Returns the
@@ -341,33 +317,31 @@ impl Mntp {
         let t = elapsed_secs(self.cycle_start.unwrap_or(now), now);
         if self.filter.offer(t, offset_ms) {
             self.reject_streak.clear();
-            self.stats.accepted += 1;
-            let offset = NtpDuration::from_seconds_f64(offset_ms / 1e3);
-            match self.cfg.apply_mode {
-                ApplyMode::RecordOnly => {}
-                ApplyMode::Step => {
-                    self.pending.push(ClockCommand::Step(offset));
-                    self.filter.translate(-offset_ms);
-                }
-                ApplyMode::Slew => {
-                    // Past the step threshold a rate-capped slew takes
-                    // minutes, during which every new sample measures
-                    // the uncorrected remainder against an
-                    // already-translated trend: step instead.
-                    if self.cfg.step_threshold_ms.is_some_and(|t| offset_ms.abs() > t) {
-                        self.pending.push(ClockCommand::Step(offset));
-                    } else {
-                        self.pending.push(ClockCommand::Slew(offset));
-                    }
-                    self.filter.translate(-offset_ms);
-                }
+            if self.correct(offset_ms) {
+                self.filter.translate(-offset_ms);
             }
             SampleVerdict::Accepted { offset_ms }
         } else {
-            self.stats.rejected += 1;
             self.stepout(offset_ms);
             SampleVerdict::Rejected { offset_ms }
         }
+    }
+
+    /// Queue a correction by `offset_ms` per the apply mode; returns
+    /// whether one was queued. A slew past the step threshold becomes a
+    /// step: a rate-capped slew would take minutes, during which every
+    /// new sample measures the uncorrected remainder against an
+    /// already-translated trend.
+    fn correct(&mut self, offset_ms: f64) -> bool {
+        let step = match self.cfg.apply_mode {
+            ApplyMode::RecordOnly => return false,
+            ApplyMode::Step => true,
+            ApplyMode::Slew => self.cfg.step_threshold_ms.is_some_and(|t| offset_ms.abs() > t),
+        };
+        let offset = NtpDuration::from_seconds_f64(offset_ms / 1e3);
+        let command = if step { ClockCommand::Step(offset) } else { ClockCommand::Slew(offset) };
+        self.pending.push(command);
+        true
     }
 
     /// Track a rejected offset and force a step once the streak says
@@ -391,7 +365,6 @@ impl Mntp {
         };
         self.reject_streak.clear();
         if median.abs() > threshold && self.cfg.apply_mode != ApplyMode::RecordOnly {
-            self.stats.stepouts += 1;
             self.pending.push(ClockCommand::Step(NtpDuration::from_seconds_f64(median / 1e3)));
         }
     }
@@ -405,13 +378,11 @@ impl Mntp {
     /// scheduled, so no failure pattern can stop the engine from
     /// querying (the liveness property pinned by the prop tests).
     pub fn on_query_failed(&mut self, now: NtpTimestamp) {
-        self.stats.failures += 1;
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         if self.phase == Phase::Regular
             && self.consecutive_failures >= self.cfg.holdover_after_failures
         {
             self.phase = Phase::Holdover;
-            self.stats.holdovers += 1;
         }
         let wait = match self.phase {
             Phase::Warmup => self.cfg.warmup_wait_secs,
@@ -429,21 +400,9 @@ impl Mntp {
     /// warmup (trim and cycle history retained by the clock, trend
     /// rebuilt from scratch).
     fn recover(&mut self, now: NtpTimestamp, offset_ms: f64) -> SampleVerdict {
-        self.stats.recoveries += 1;
         self.consecutive_failures = 0;
         self.reject_streak.clear();
-        let offset = NtpDuration::from_seconds_f64(offset_ms / 1e3);
-        match self.cfg.apply_mode {
-            ApplyMode::RecordOnly => {}
-            ApplyMode::Step => self.pending.push(ClockCommand::Step(offset)),
-            ApplyMode::Slew => {
-                if self.cfg.step_threshold_ms.is_some_and(|t| offset_ms.abs() > t) {
-                    self.pending.push(ClockCommand::Step(offset));
-                } else {
-                    self.pending.push(ClockCommand::Slew(offset));
-                }
-            }
-        }
+        self.correct(offset_ms);
         self.phase = Phase::Warmup;
         self.cycle_start = Some(now);
         self.filter = TrendFilter::new(self.cfg.filter_sigma, self.cfg.reestimate_drift);
@@ -489,24 +448,37 @@ mod tests {
         }
     }
 
-    /// Drive a full warmup with clean samples; returns the engine in the
-    /// regular phase at the given time.
-    fn warmed_up() -> (Mntp, f64) {
-        let mut m = Mntp::new(fast_cfg());
-        let mut t = 0.0;
+    /// Answer every warmup round with `offsets` until the engine enters
+    /// the regular phase; returns the time reached and how many rounds
+    /// the engine digested.
+    fn warm(m: &mut Mntp, offsets: &[f64]) -> (f64, usize) {
+        let (mut t, mut rounds) = (0.0, 0);
         while m.phase() == Phase::Warmup {
-            match m.on_tick(ts(t), Some(&good_hints())) {
-                MntpAction::QueryMultiple(n) => {
-                    assert_eq!(n, 3);
-                    m.on_warmup_round(ts(t), &[1.0, 1.1, 0.9]);
-                }
-                MntpAction::QuerySingle => break,
-                MntpAction::Wait => {}
+            if let MntpAction::QueryMultiple(n) = m.on_tick(ts(t), Some(&good_hints())) {
+                assert_eq!(n, 3);
+                rounds += usize::from(m.on_warmup_round(ts(t), offsets).is_some());
             }
             t += 1.0;
             assert!(t < 1000.0, "warmup never completed");
         }
+        (t, rounds)
+    }
+
+    /// A `fast_cfg` engine (with `cfg` applied) warmed up on clean
+    /// samples around 1 ms; returns it in the regular phase and the time.
+    fn warmed_up_with(cfg: MntpConfig) -> (Mntp, f64) {
+        let mut m = Mntp::new(cfg);
+        let (t, _) = warm(&mut m, &[1.0, 1.1, 0.9]);
         (m, t)
+    }
+
+    fn warmed_up() -> (Mntp, f64) {
+        warmed_up_with(fast_cfg())
+    }
+
+    /// `fast_cfg` with the given apply mode.
+    fn mode(apply_mode: ApplyMode) -> MntpConfig {
+        MntpConfig { apply_mode, ..fast_cfg() }
     }
 
     #[test]
@@ -519,8 +491,7 @@ mod tests {
     #[test]
     fn gate_defers_queries() {
         let mut m = Mntp::new(fast_cfg());
-        assert_eq!(m.on_tick(ts(0.0), Some(&bad_hints())), MntpAction::Wait);
-        assert_eq!(m.stats.deferred, 1);
+        assert_eq!(m.on_tick(ts(0.0), Some(&bad_hints())), MntpAction::Deferred);
         // Channel recovers: query goes out.
         assert_eq!(m.on_tick(ts(1.0), Some(&good_hints())), MntpAction::QueryMultiple(3));
     }
@@ -530,17 +501,20 @@ mod tests {
         let mut m = Mntp::new(fast_cfg());
         assert_eq!(m.on_tick(ts(0.0), Some(&good_hints())), MntpAction::QueryMultiple(3));
         m.on_warmup_round(ts(0.0), &[1.0, 1.0, 1.0]);
-        // Next request only after warmup_wait_secs = 10.
+        // Next request only after warmup_wait_secs = 10; an undue
+        // request is a plain wait, even on a bad channel.
         assert_eq!(m.on_tick(ts(5.0), Some(&good_hints())), MntpAction::Wait);
+        assert_eq!(m.on_tick(ts(6.0), Some(&bad_hints())), MntpAction::Wait);
         assert_eq!(m.on_tick(ts(10.0), Some(&good_hints())), MntpAction::QueryMultiple(3));
     }
 
     #[test]
     fn transitions_to_regular_after_period_and_samples() {
-        let (m, t) = warmed_up();
+        let mut m = Mntp::new(fast_cfg());
+        let (t, rounds) = warm(&mut m, &[1.0, 1.1, 0.9]);
         assert_eq!(m.phase(), Phase::Regular);
         assert!(t >= 100.0, "period must elapse, t={t}");
-        assert!(m.stats.warmup_rounds >= 5);
+        assert!(rounds >= 5);
         assert!(m.drift_ppm().is_some());
     }
 
@@ -556,7 +530,7 @@ mod tests {
         }
         // Way past warmup_period, but still warming up.
         assert_eq!(m.phase(), Phase::Warmup);
-        assert!(m.stats.failures > 10);
+        assert!(m.consecutive_failures() > 10);
     }
 
     #[test]
@@ -568,38 +542,31 @@ mod tests {
         assert!(matches!(m.on_regular_sample(ts(t), 1.05), SampleVerdict::Accepted { .. }));
         t += 20.0;
         m.on_tick(ts(t), Some(&good_hints()));
-        assert!(matches!(m.on_regular_sample(ts(t), 350.0), SampleVerdict::Rejected { .. }));
-        assert_eq!(m.stats.rejected, 1);
+        assert_eq!(m.on_regular_sample(ts(t), 350.0), SampleVerdict::Rejected { offset_ms: 350.0 });
     }
 
     #[test]
     fn false_tickers_rejected_in_warmup() {
         let mut m = Mntp::new(fast_cfg());
         m.on_tick(ts(0.0), Some(&good_hints()));
-        m.on_warmup_round(ts(0.0), &[1.0, 1.2, 300.0]);
-        assert_eq!(m.stats.false_tickers_rejected, 1);
+        let v = m.on_warmup_round(ts(0.0), &[1.0, 1.2, 300.0]).expect("answered round");
+        assert_eq!(v.false_tickers, 1);
+        assert!(v.recorded);
         // Combined value excludes the false ticker: the recorded point is
         // near 1.1, so a later 1.1-ish round keeps the trend near 1.
-        assert!(m.filter().points()[0].1 < 5.0);
+        assert!(v.combined_ms < 5.0);
+        assert_eq!(m.filter().points()[0].1, v.combined_ms);
     }
 
     #[test]
     fn reset_after_reset_period() {
-        let cfg = MntpConfig { reset_period_secs: 500.0, ..fast_cfg() };
-        let mut m = Mntp::new(cfg);
-        // Warm up quickly.
-        let mut t = 0.0;
-        while m.phase() == Phase::Warmup && t < 400.0 {
-            if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                m.on_warmup_round(ts(t), &[0.5, 0.6, 0.4]);
-            }
-            t += 1.0;
-        }
+        let mut m = Mntp::new(MntpConfig { reset_period_secs: 500.0, ..fast_cfg() });
+        warm(&mut m, &[0.5, 0.6, 0.4]);
         assert_eq!(m.phase(), Phase::Regular);
-        // Cross the reset boundary.
-        m.on_tick(ts(501.0), Some(&good_hints()));
+        // Crossing the reset boundary restarts warmup, which queries at
+        // once.
+        assert_eq!(m.on_tick(ts(501.0), Some(&good_hints())), MntpAction::QueryMultiple(3));
         assert_eq!(m.phase(), Phase::Warmup);
-        assert_eq!(m.stats.resets, 1);
         assert!(m.filter().is_empty(), "trend cleared on reset");
     }
 
@@ -613,15 +580,8 @@ mod tests {
 
     #[test]
     fn step_mode_emits_step_commands() {
-        let cfg = MntpConfig { apply_mode: crate::config::ApplyMode::Step, ..fast_cfg() };
-        let mut m = Mntp::new(cfg);
-        let mut t = 0.0;
-        while m.phase() == Phase::Warmup && t < 400.0 {
-            if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                m.on_warmup_round(ts(t), &[2.0, 2.1, 1.9]);
-            }
-            t += 1.0;
-        }
+        let mut m = Mntp::new(mode(ApplyMode::Step));
+        let (t, _) = warm(&mut m, &[2.0, 2.1, 1.9]);
         m.on_tick(ts(t + 20.0), Some(&good_hints()));
         m.on_regular_sample(ts(t + 20.0), 2.0);
         let cmds = m.take_commands();
@@ -634,19 +594,9 @@ mod tests {
     #[test]
     fn slew_mode_steps_past_the_threshold() {
         let mk = |threshold| {
-            let cfg = MntpConfig {
-                apply_mode: crate::config::ApplyMode::Slew,
-                step_threshold_ms: threshold,
-                ..fast_cfg()
-            };
-            let mut m = Mntp::new(cfg);
-            let mut t = 0.0;
-            while m.phase() == Phase::Warmup && t < 400.0 {
-                if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                    m.on_warmup_round(ts(t), &[2.0, 2.1, 1.9]);
-                }
-                t += 1.0;
-            }
+            let mut m =
+                Mntp::new(MntpConfig { step_threshold_ms: threshold, ..mode(ApplyMode::Slew) });
+            let (t, _) = warm(&mut m, &[2.0, 2.1, 1.9]);
             m.on_tick(ts(t + 20.0), Some(&good_hints()));
             m.on_regular_sample(ts(t + 20.0), 2.0);
             m.take_commands()
@@ -660,47 +610,39 @@ mod tests {
 
     #[test]
     fn rejection_streak_forces_a_stepout() {
-        let cfg = MntpConfig {
-            apply_mode: crate::config::ApplyMode::Slew,
+        let (mut m, mut t) = warmed_up_with(MntpConfig {
             step_threshold_ms: Some(50.0),
             stepout_rejects: Some(3),
-            ..fast_cfg()
+            ..mode(ApplyMode::Slew)
+        });
+        let steps = |cmds: &[ClockCommand]| -> Vec<f64> {
+            cmds.iter()
+                .filter_map(|c| match c {
+                    ClockCommand::Step(d) => Some(d.as_seconds_f64() * 1e3),
+                    _ => None,
+                })
+                .collect()
         };
-        let mut m = Mntp::new(cfg);
-        let mut t = 0.0;
-        while m.phase() == Phase::Warmup && t < 400.0 {
-            if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                m.on_warmup_round(ts(t), &[1.0, 1.1, 0.9]);
-            }
-            t += 1.0;
-        }
         // Noisy +80 ms-ish samples: each is rejected by the trend, and
         // the spread keeps the filter's own re-anchor (residual bar a
         // few ms) from firing — the stuck-client shape.
-        let offsets = [71.0, 95.0, 83.0];
         let mut stepped = Vec::new();
-        for off in offsets {
+        for off in [71.0, 95.0, 83.0] {
             m.on_tick(ts(t + 20.0), Some(&good_hints()));
             t += 20.0;
             assert!(matches!(m.on_regular_sample(ts(t), off), SampleVerdict::Rejected { .. }));
             stepped.extend(m.take_commands());
         }
-        assert_eq!(m.stats.stepouts, 1);
-        let step = stepped
-            .iter()
-            .find_map(|c| match c {
-                ClockCommand::Step(d) => Some(d.as_seconds_f64() * 1e3),
-                _ => None,
-            })
-            .expect("third consecutive reject forces a step");
-        assert!((step - 83.0).abs() < 1e-6, "steps by the streak median, got {step}");
+        let step = steps(&stepped);
+        assert_eq!(step.len(), 1, "third consecutive reject forces one step: {stepped:?}");
+        assert!((step[0] - 83.0).abs() < 1e-6, "steps by the streak median, got {}", step[0]);
         // The streak is consumed: three more small rejects don't step.
         for off in [9.0, 9.5, 10.0] {
             m.on_tick(ts(t + 20.0), Some(&good_hints()));
             t += 20.0;
             m.on_regular_sample(ts(t), off);
         }
-        assert_eq!(m.stats.stepouts, 1);
+        assert!(steps(&m.take_commands()).is_empty());
     }
 
     #[test]
@@ -721,9 +663,12 @@ mod tests {
     fn empty_warmup_round_counts_as_failure() {
         let mut m = Mntp::new(fast_cfg());
         m.on_tick(ts(0.0), Some(&good_hints()));
-        m.on_warmup_round(ts(0.0), &[]);
-        assert_eq!(m.stats.failures, 1);
-        assert_eq!(m.stats.warmup_rounds, 0);
+        assert_eq!(m.on_warmup_round(ts(0.0), &[]), None);
+        assert_eq!(m.consecutive_failures(), 1);
+        assert!(m.filter().is_empty(), "nothing recorded");
+        // The failed round waits warmup_wait_secs like an answered one.
+        assert_eq!(m.on_tick(ts(9.0), Some(&good_hints())), MntpAction::Wait);
+        assert_eq!(m.on_tick(ts(10.0), Some(&good_hints())), MntpAction::QueryMultiple(3));
     }
 
     /// Drive the warmed-up engine through `n` consecutive regular-phase
@@ -742,9 +687,10 @@ mod tests {
     #[test]
     fn consecutive_failures_trip_holdover_with_longer_wait() {
         let (mut m, t0) = warmed_up();
-        let t = fail_times(&mut m, t0, 3);
+        let t = fail_times(&mut m, t0, 2);
+        assert_eq!(m.phase(), Phase::Regular);
+        let t = fail_times(&mut m, t, 1);
         assert_eq!(m.phase(), Phase::Holdover);
-        assert_eq!(m.stats.holdovers, 1);
         assert_eq!(m.consecutive_failures(), 3);
         // First holdover probe waits holdover_base_wait_secs (30), not
         // the 20 s regular wait.
@@ -779,9 +725,9 @@ mod tests {
         let (mut m, t0) = warmed_up();
         let mut t = fail_times(&mut m, t0, 3);
         assert_eq!(m.phase(), Phase::Holdover);
-        let deferred_before = m.stats.deferred;
         // Channel is terrible, but the probe still goes out when due —
-        // a stuck-unfavorable gate must not starve recovery.
+        // a stuck-unfavorable gate must not starve recovery. Every tick
+        // before it is a plain wait, never a deferral.
         let mut action = MntpAction::Wait;
         for _ in 0..600 {
             action = m.on_tick(ts(t), Some(&bad_hints()));
@@ -791,23 +737,14 @@ mod tests {
             t += 1.0;
         }
         assert_eq!(action, MntpAction::QuerySingle);
-        assert_eq!(m.stats.deferred, deferred_before);
     }
 
     #[test]
     fn recovery_steps_clock_and_restarts_warmup() {
-        let cfg = MntpConfig { apply_mode: ApplyMode::Step, ..fast_cfg() };
-        let mut m = Mntp::new(cfg);
-        let mut t = 0.0;
-        while m.phase() == Phase::Warmup && t < 400.0 {
-            if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                m.on_warmup_round(ts(t), &[1.0, 1.1, 0.9]);
-            }
-            t += 1.0;
-        }
+        let (mut m, t) = warmed_up_with(mode(ApplyMode::Step));
         assert_eq!(m.phase(), Phase::Regular);
         m.take_commands();
-        t = fail_times(&mut m, t, 3);
+        let mut t = fail_times(&mut m, t, 3);
         assert_eq!(m.phase(), Phase::Holdover);
         // Network comes back: the next probe's sample is the recovery.
         while m.on_tick(ts(t), Some(&good_hints())) != MntpAction::QuerySingle {
@@ -816,7 +753,6 @@ mod tests {
         let v = m.on_regular_sample(ts(t), -250.0);
         assert_eq!(v, SampleVerdict::Recovered { offset_ms: -250.0 });
         assert_eq!(m.phase(), Phase::Warmup);
-        assert_eq!(m.stats.recoveries, 1);
         assert_eq!(m.consecutive_failures(), 0);
         let cmds = m.take_commands();
         assert!(
@@ -828,24 +764,16 @@ mod tests {
 
     #[test]
     fn reset_timer_suspended_in_holdover() {
-        let cfg = MntpConfig { reset_period_secs: 500.0, ..fast_cfg() };
-        let mut m = Mntp::new(cfg);
-        let mut t = 0.0;
-        while m.phase() == Phase::Warmup && t < 400.0 {
-            if let MntpAction::QueryMultiple(_) = m.on_tick(ts(t), Some(&good_hints())) {
-                m.on_warmup_round(ts(t), &[1.0, 1.1, 0.9]);
-            }
-            t += 1.0;
-        }
-        assert_eq!(m.phase(), Phase::Regular);
+        let (mut m, t) = warmed_up_with(MntpConfig { reset_period_secs: 500.0, ..fast_cfg() });
         fail_times(&mut m, t, 3);
         assert_eq!(m.phase(), Phase::Holdover);
-        // Far past the reset boundary: still freewheeling, no reset —
+        // Far past the reset boundary: still freewheeling, probing
+        // rather than restarting warmup, with the trend kept —
         // restarting warmup with no reachable servers would discard the
         // drift model being freewheeled on.
-        m.on_tick(ts(2000.0), Some(&good_hints()));
+        assert_eq!(m.on_tick(ts(2000.0), Some(&good_hints())), MntpAction::QuerySingle);
         assert_eq!(m.phase(), Phase::Holdover);
-        assert_eq!(m.stats.resets, 0);
+        assert!(!m.filter().is_empty());
     }
 }
 
@@ -864,7 +792,8 @@ mod proptests {
         /// Liveness: after ANY sequence of query successes (1) and
         /// failures (0) — including those that trip holdover — the
         /// engine always asks for another query within a bounded wait.
-        /// No reachable state leaves `on_tick` returning `Wait` forever.
+        /// No reachable state leaves `on_tick` returning `Wait` (or
+        /// `Deferred`) forever.
         fn scheduler_always_queries_again(events in prop::vecs(prop::ints(0..2), 0..48)) {
             let cfg = MntpConfig {
                 warmup_period_secs: 60.0,
@@ -883,7 +812,7 @@ mod proptests {
                 let start = t;
                 let action = loop {
                     let a = m.on_tick(mk_ts(t), Some(&hints));
-                    if a != MntpAction::Wait {
+                    if !matches!(a, MntpAction::Wait | MntpAction::Deferred) {
                         break a;
                     }
                     t += 1.0;
@@ -902,13 +831,16 @@ mod proptests {
                         m.on_regular_sample(mk_ts(t), 1.0);
                     }
                     (_, false) => m.on_query_failed(mk_ts(t)),
-                    (MntpAction::Wait, true) => unreachable!("loop broke on non-Wait"),
+                    (MntpAction::Wait | MntpAction::Deferred, true) => {
+                        unreachable!("loop broke on a query")
+                    }
                 }
             }
             // After the whole history, one more query must still come.
             let start = t;
             loop {
-                if m.on_tick(mk_ts(t), Some(&hints)) != MntpAction::Wait {
+                let a = m.on_tick(mk_ts(t), Some(&hints));
+                if !matches!(a, MntpAction::Wait | MntpAction::Deferred) {
                     break;
                 }
                 t += 1.0;

@@ -47,7 +47,7 @@ pub use autotune::{AutoTuneConfig, AutoTuner};
 pub use config::{ApplyMode, MntpConfig};
 pub use discipline::{Directive, Discipline, ExchangeResult, MntpDiscipline, SntpDiscipline};
 pub use driver::{drive, DriverConfig, MntpRun, MntpRunRecord, QueryOutcome, RobustConfig};
-pub use engine::{Mntp, MntpAction, Phase, SampleVerdict};
+pub use engine::{Mntp, MntpAction, Phase, SampleVerdict, WarmupVerdict};
 pub use fleet::{
     run_fleet_chaos_on, run_fleet_on, ChaosSession, FleetClient, FleetRun, FleetRunConfig,
     GroupSample,

@@ -7,9 +7,10 @@
 //! node's, a fleet shard's cross traffic) run as due-time timers, so no
 //! event queue is needed:
 //!
-//! * [`link`] — composable per-packet delay and loss models (fixed /
-//!   normal / lognormal / heavy-tail delay; Bernoulli / Gilbert–Elliott
-//!   loss) used for wired segments and Internet backbones.
+//! * [`link`] — composable per-packet delay and loss models (normal
+//!   delay for Ethernet, lognormal with a Pareto spike tail for
+//!   backbones; Bernoulli loss) used for wired segments and Internet
+//!   backbones.
 //! * [`wifi`] — the 802.11 last-hop model: transmit power, log-distance
 //!   path loss with Ornstein–Uhlenbeck shadowing, a noise floor lifted by
 //!   interference bursts, SNR-dependent frame loss with DCF-style retry

@@ -13,8 +13,6 @@ use clocksim::time::SimDuration;
 /// A per-packet one-way-delay distribution.
 #[derive(Clone, Debug)]
 pub enum DelayModel {
-    /// Constant delay.
-    Fixed(SimDuration),
     /// Gaussian jitter around a mean, truncated below at `floor_ms`.
     Normal {
         /// Mean delay, ms.
@@ -24,19 +22,11 @@ pub enum DelayModel {
         /// Hard lower bound, ms (propagation delay can't be beaten).
         floor_ms: f64,
     },
-    /// Lognormal body — the classic shape of Internet OWDs.
-    LogNormal {
-        /// Median delay, ms (the lognormal's scale parameter `e^mu`).
-        median_ms: f64,
-        /// Shape `sigma` of the underlying normal.
-        sigma: f64,
-        /// Hard lower bound, ms.
-        floor_ms: f64,
-    },
-    /// Lognormal body plus a Pareto spike tail occurring with probability
-    /// `spike_prob` — models transient cross-traffic queueing on a path.
+    /// Lognormal body (the classic shape of Internet OWDs) plus a Pareto
+    /// spike tail occurring with probability `spike_prob` — models
+    /// transient cross-traffic queueing on a path.
     SpikyLogNormal {
-        /// Median of the body, ms.
+        /// Median of the body, ms (the lognormal's scale `e^mu`).
         median_ms: f64,
         /// Shape of the body.
         sigma: f64,
@@ -72,12 +62,8 @@ impl DelayModel {
     /// Sample one delay.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         let ms = match self {
-            DelayModel::Fixed(d) => return *d,
             DelayModel::Normal { mean_ms, sigma_ms, floor_ms } => {
                 rng.normal(*mean_ms, *sigma_ms).max(*floor_ms)
-            }
-            DelayModel::LogNormal { median_ms, sigma, floor_ms } => {
-                (rng.lognormal(median_ms.ln(), *sigma)).max(*floor_ms)
             }
             DelayModel::SpikyLogNormal {
                 median_ms,
@@ -105,40 +91,14 @@ pub enum LossModel {
     None,
     /// Independent loss with fixed probability.
     Bernoulli(f64),
-    /// Two-state Gilbert–Elliott burst-loss model. State transitions are
-    /// evaluated per packet.
-    GilbertElliott {
-        /// P(good → bad) per packet.
-        p_gb: f64,
-        /// P(bad → good) per packet.
-        p_bg: f64,
-        /// Loss probability in the good state.
-        loss_good: f64,
-        /// Loss probability in the bad state.
-        loss_bad: f64,
-        /// Current state: true = bad.
-        in_bad: bool,
-    },
 }
 
 impl LossModel {
-    /// Evaluate the next packet: returns `true` if it is lost. Stateful
-    /// models advance.
-    pub fn is_lost(&mut self, rng: &mut SimRng) -> bool {
+    /// Evaluate the next packet: returns `true` if it is lost.
+    pub fn is_lost(&self, rng: &mut SimRng) -> bool {
         match self {
             LossModel::None => false,
             LossModel::Bernoulli(p) => rng.chance(*p),
-            LossModel::GilbertElliott { p_gb, p_bg, loss_good, loss_bad, in_bad } => {
-                if *in_bad {
-                    if rng.chance(*p_bg) {
-                        *in_bad = false;
-                    }
-                } else if rng.chance(*p_gb) {
-                    *in_bad = true;
-                }
-                let p = if *in_bad { *loss_bad } else { *loss_good };
-                rng.chance(p)
-            }
         }
     }
 }
@@ -159,7 +119,7 @@ impl Link {
     }
 
     /// Transmit one packet: `Some(delay)` if delivered, `None` if lost.
-    pub fn transmit(&mut self, rng: &mut SimRng) -> Option<SimDuration> {
+    pub fn transmit(&self, rng: &mut SimRng) -> Option<SimDuration> {
         if self.loss.is_lost(rng) {
             None
         } else {
@@ -178,27 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn fixed_is_fixed() {
-        let m = DelayModel::Fixed(SimDuration::from_millis(7));
-        assert!(collect_ms(&m, 100, 1).iter().all(|&d| (d - 7.0).abs() < 1e-9));
-    }
-
-    #[test]
     fn normal_respects_floor_and_mean() {
         let m = DelayModel::Normal { mean_ms: 10.0, sigma_ms: 2.0, floor_ms: 5.0 };
         let xs = collect_ms(&m, 20_000, 2);
         assert!(xs.iter().all(|&d| d >= 5.0));
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn lognormal_median() {
-        let m = DelayModel::LogNormal { median_ms: 20.0, sigma: 0.3, floor_ms: 1.0 };
-        let mut xs = collect_ms(&m, 20_000, 3);
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let med = xs[xs.len() / 2];
-        assert!((med - 20.0).abs() < 1.0, "median={med}");
     }
 
     #[test]
@@ -218,51 +163,21 @@ mod tests {
 
     #[test]
     fn bernoulli_loss_rate() {
-        let mut loss = LossModel::Bernoulli(0.2);
+        let loss = LossModel::Bernoulli(0.2);
         let mut rng = SimRng::new(5);
         let lost = (0..50_000).filter(|_| loss.is_lost(&mut rng)).count() as f64 / 50_000.0;
         assert!((lost - 0.2).abs() < 0.01, "loss={lost}");
     }
 
     #[test]
-    fn gilbert_elliott_bursts() {
-        let mut loss = LossModel::GilbertElliott {
-            p_gb: 0.02,
-            p_bg: 0.2,
-            loss_good: 0.001,
-            loss_bad: 0.5,
-            in_bad: false,
-        };
-        let mut rng = SimRng::new(6);
-        let outcomes: Vec<bool> = (0..100_000).map(|_| loss.is_lost(&mut rng)).collect();
-        let rate = outcomes.iter().filter(|&&l| l).count() as f64 / outcomes.len() as f64;
-        // Stationary bad fraction = p_gb / (p_gb + p_bg) ≈ 0.0909;
-        // expected loss ≈ 0.0909 * 0.5 + 0.909 * 0.001 ≈ 0.0464.
-        assert!((rate - 0.0464).abs() < 0.01, "rate={rate}");
-        // Burstiness: P(loss | prev loss) should far exceed the base rate.
-        let mut pairs = 0;
-        let mut both = 0;
-        for w in outcomes.windows(2) {
-            if w[0] {
-                pairs += 1;
-                if w[1] {
-                    both += 1;
-                }
-            }
-        }
-        let cond = both as f64 / pairs as f64;
-        assert!(cond > 2.0 * rate, "cond={cond} rate={rate}");
-    }
-
-    #[test]
     fn link_transmit_composes() {
-        let mut link =
-            Link { delay: DelayModel::Fixed(SimDuration::from_millis(5)), loss: LossModel::Bernoulli(0.5) };
+        // A pool server's path: backbone delay behind Bernoulli loss.
+        let link = Link { delay: DelayModel::backbone(20.0), loss: LossModel::Bernoulli(0.5) };
         let mut rng = SimRng::new(7);
         let results: Vec<Option<SimDuration>> = (0..1000).map(|_| link.transmit(&mut rng)).collect();
         let delivered = results.iter().flatten().count();
         assert!((300..700).contains(&delivered));
-        assert!(results.iter().flatten().all(|d| *d == SimDuration::from_millis(5)));
+        assert!(results.iter().flatten().all(|d| *d >= SimDuration::from_millis(16)));
     }
 
     #[test]
@@ -293,7 +208,14 @@ mod proptests {
                 let d = m.sample(&mut rng).as_millis_f64();
                 prop_assert!(d >= floor - 1e-5, "d={d} floor={floor}"); // ns quantization
             }
-            let m = DelayModel::LogNormal { median_ms: mean, sigma: 0.5, floor_ms: floor };
+            let m = DelayModel::SpikyLogNormal {
+                median_ms: mean,
+                sigma: 0.5,
+                floor_ms: floor,
+                spike_prob: 0.1,
+                spike_scale_ms: 4.0,
+                spike_alpha: 1.8,
+            };
             for _ in 0..100 {
                 prop_assert!(m.sample(&mut rng).as_millis_f64() >= floor - 1e-5);
             }
@@ -301,27 +223,11 @@ mod proptests {
 
         /// Bernoulli loss rate converges to p for any p.
         fn bernoulli_rate_converges(p in prop::floats(0.0..1.0), seed in prop::any_u64()) {
-            let mut loss = LossModel::Bernoulli(p);
+            let loss = LossModel::Bernoulli(p);
             let mut rng = SimRng::new(seed);
             let n = 20_000;
             let lost = (0..n).filter(|_| loss.is_lost(&mut rng)).count() as f64 / n as f64;
             prop_assert!((lost - p).abs() < 0.02, "lost={lost} p={p}");
-        }
-
-        /// Gilbert–Elliott never panics and produces a rate between its
-        /// good-state and bad-state loss probabilities.
-        fn gilbert_elliott_rate_bounded(
-            p_gb in prop::floats(0.001..0.5),
-            p_bg in prop::floats(0.001..0.5),
-            lg in prop::floats(0.0..0.1),
-            lb in prop::floats(0.2..1.0),
-            seed in prop::any_u64(),
-        ) {
-            let mut loss = LossModel::GilbertElliott { p_gb, p_bg, loss_good: lg, loss_bad: lb, in_bad: false };
-            let mut rng = SimRng::new(seed);
-            let n = 20_000;
-            let rate = (0..n).filter(|_| loss.is_lost(&mut rng)).count() as f64 / n as f64;
-            prop_assert!(rate >= lg - 0.02 && rate <= lb + 0.02, "rate={rate}");
         }
     }
 }

@@ -53,31 +53,25 @@ pub fn emulate(cfg: &MntpConfig, trace: &Trace) -> EmulationResult {
     let mut out = EmulationResult::default();
     for row in &trace.rows {
         let now = local(row.t_secs);
-        let deferred_before = engine.stats.deferred;
         match engine.on_tick(now, row.hints.as_ref()) {
-            MntpAction::Wait => {
-                if engine.stats.deferred > deferred_before {
-                    out.deferred += 1;
-                }
-            }
+            MntpAction::Wait => {}
+            MntpAction::Deferred => out.deferred += 1,
             MntpAction::QueryMultiple(n) => {
                 out.requests += 1;
                 let offsets: Vec<f64> =
                     row.offsets_ms.iter().flatten().copied().take(n).collect();
-                if offsets.is_empty() {
-                    engine.on_query_failed(now);
-                    out.failed += 1;
-                } else {
-                    // Corrected value uses the prediction available
-                    // *before* this round updates the trend, applied to
-                    // the engine's combined (post-false-ticker) offset.
-                    let predicted = engine.predicted_offset_ms(now);
-                    if let Some((combined, recorded)) = engine.on_warmup_round(now, &offsets) {
-                        let corrected = predicted.map(|p| combined - p).unwrap_or(0.0);
-                        if recorded {
-                            out.accepted.push((row.t_secs, combined, corrected));
+                // Corrected value uses the prediction available *before*
+                // this round updates the trend, applied to the engine's
+                // combined (post-false-ticker) offset.
+                let predicted = engine.predicted_offset_ms(now);
+                match engine.on_warmup_round(now, &offsets) {
+                    None => out.failed += 1,
+                    Some(v) => {
+                        let corrected = predicted.map(|p| v.combined_ms - p).unwrap_or(0.0);
+                        if v.recorded {
+                            out.accepted.push((row.t_secs, v.combined_ms, corrected));
                         } else {
-                            out.rejected.push((row.t_secs, combined));
+                            out.rejected.push((row.t_secs, v.combined_ms));
                         }
                     }
                 }

@@ -74,16 +74,31 @@ e2e_target="${CARGO_TARGET_DIR:-target}"
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target"
 cargo test -q --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target"
 
-# e2ebench's own tests use 400 clients; this one repetition runs the
-# serial engine (one shard, whose ring is handed over) against the
+# e2ebench's own tests use 400 clients; these runs check the workloads
+# at benchmark scale. `e2e_correct WORKLOAD TRACE` runs one repetition
+# and fails unless its last line, a JSON object, holds "correct":true
+# (a failing run fails the script through set -e and pipefail).
+e2e_correct() {
+    local workload="$1" trace="$2" last
+    last="$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target" -- \
+        --workload "$workload" --reps 1 --trace "$trace" --out "$tmp/e2e" | tail -n 1)"
+    case "$last" in
+        *'"correct":true'*) ;;
+        *) echo "$workload is not correct: $last"; exit 1 ;;
+    esac
+}
+
+# The serial engine (one shard, whose ring is handed over) against the
 # 8-shard engine (the merge) on all 5.6 M datagrams and a 400k-key table.
 echo "== servercore-ingest at full scale: serial and 8-shard engines agree =="
-last="$(cargo run --release --offline --manifest-path e2ebench/Cargo.toml --target-dir "$e2e_target" -- \
-    --workload servercore-ingest --reps 1 --trace 0 --out "$tmp/e2e" | tail -n 1)"
-case "$last" in
-    *'"correct":true'*) ;;
-    *) echo "servercore-ingest is not correct: $last"; exit 1 ;;
-esac
+e2e_correct servercore-ingest 0
+
+# A traced run is correct only if the digest of e2ebench's own epoch
+# loop equals that of mntp::run_fleet_on / run_fleet_chaos_on on the
+# same fleet: 100k mixed clients, and 10k resilient ones under chaos.
+echo "== fleet-mixed and fleet-chaos at benchmark scale: e2ebench's replay matches the fleet runner =="
+e2e_correct fleet-mixed 1
+e2e_correct fleet-chaos 1
 
 # Timing-sensitive, so it runs after every correctness step: a red gate
 # on a noisy host must not hide whether those pass. It still fails the
