@@ -49,8 +49,6 @@ impl Default for AutoTuneConfig {
 pub struct AutoTuner {
     cfg: AutoTuneConfig,
     wait_secs: f64,
-    /// Adjustments made (diagnostics).
-    pub increases: u64,
     /// Backoffs made (diagnostics).
     pub decreases: u64,
 }
@@ -60,7 +58,7 @@ impl AutoTuner {
     /// earns trust).
     pub fn new(cfg: AutoTuneConfig) -> Self {
         let wait = cfg.min_wait_secs;
-        AutoTuner { cfg, wait_secs: wait, increases: 0, decreases: 0 }
+        AutoTuner { cfg, wait_secs: wait, decreases: 0 }
     }
 
     /// The wait the engine should currently use.
@@ -74,7 +72,6 @@ impl AutoTuner {
             SampleVerdict::Accepted { .. } => {
                 self.wait_secs =
                     (self.wait_secs + self.cfg.increase_secs).min(self.cfg.max_wait_secs);
-                self.increases += 1;
             }
             SampleVerdict::Rejected { .. } => self.backoff(),
             // Just back from an outage: sample eagerly while the fresh
@@ -113,11 +110,11 @@ mod tests {
     fn acceptance_stretches_wait_to_cap() {
         let mut at = AutoTuner::new(AutoTuneConfig::default());
         assert_eq!(at.wait_secs(), 15.0);
-        for _ in 0..100 {
-            at.on_verdict(&acc());
-        }
+        let waits: Vec<f64> = (0..100).map(|_| at.on_verdict(&acc())).collect();
+        // Additive 30 s steps: the 60th acceptance is the first at the cap.
+        assert_eq!(waits[58], 15.0 + 59.0 * 30.0);
+        assert_eq!(waits[59], 1800.0);
         assert_eq!(at.wait_secs(), 1800.0);
-        assert!(at.increases >= 60);
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl Discipline for SntpDiscipline {
             }
             self.polls_done += 1;
         }
-        if let Some(g) = &mut self.gate {
+        if let Some(g) = &self.gate {
             if !g.favorable(hints) {
                 return Directive::Idle { record_deferred: true };
             }

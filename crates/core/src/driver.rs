@@ -266,8 +266,7 @@ pub fn drive(
 /// ([`crate::discipline::MntpDiscipline::hardened`]).
 #[derive(Clone, Debug)]
 pub struct RobustConfig {
-    /// Per-server health policy (reachability register, demotion bans,
-    /// kiss-o'-death honoring).
+    /// Per-server health policy (demotion bans, kiss-o'-death honoring).
     pub health: HealthConfig,
     /// Seed for the health tracker's selection RNG.
     pub health_seed: u64,
@@ -408,7 +407,6 @@ mod tests {
         let tuner = d.into_tuner().expect("autotuned discipline carries a tuner");
         // The tuner must have stretched the wait beyond its floor…
         assert!(tuner.wait_secs() > 15.0, "wait {}", tuner.wait_secs());
-        assert!(tuner.increases > 0);
         // …while the clock stays disciplined after warmup.
         let late: Vec<f64> = run
             .true_error_ms

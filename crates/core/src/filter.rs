@@ -115,8 +115,6 @@ pub struct TrendFilter {
     /// heavy-tailed and never agree.
     reanchor_after: usize,
     recent_rejects: Vec<(f64, f64)>,
-    accepted: u64,
-    rejected: u64,
 }
 
 impl TrendFilter {
@@ -133,8 +131,6 @@ impl TrendFilter {
             bootstrap: Vec::new(),
             reanchor_after: 5,
             recent_rejects: Vec::new(),
-            accepted: 0,
-            rejected: 0,
         }
     }
 
@@ -146,11 +142,6 @@ impl TrendFilter {
     /// True when no samples are recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Accepted / rejected counters.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.accepted, self.rejected)
     }
 
     /// The current drift estimate: the slope of the trend line, in
@@ -174,7 +165,6 @@ impl TrendFilter {
     /// trend exists) and refresh the fit.
     pub fn record_unchecked(&mut self, t_secs: f64, offset_ms: f64) {
         self.push_point(t_secs, offset_ms);
-        self.accepted += 1;
     }
 
     fn push_point(&mut self, t_secs: f64, offset_ms: f64) {
@@ -224,11 +214,6 @@ impl TrendFilter {
                 clocksim::stats::median(&vals)
             };
             let verdict = (offset_ms - med).abs() <= BOOTSTRAP_TOLERANCE_MS;
-            if verdict {
-                self.accepted += 1;
-            } else {
-                self.rejected += 1;
-            }
             if self.bootstrap.len() >= BOOTSTRAP_LEN {
                 // Seed from the consensus subset around the median.
                 let seed: Vec<(f64, f64)> = self
@@ -267,11 +252,9 @@ impl TrendFilter {
         };
         if accept {
             self.push_point(t_secs, offset_ms);
-            self.accepted += 1;
             self.recent_rejects.clear();
             return true;
         }
-        self.rejected += 1;
         self.recent_rejects.push((t_secs, offset_ms));
         if self.recent_rejects.len() > self.reanchor_after {
             self.recent_rejects.remove(0);
@@ -313,7 +296,6 @@ impl TrendFilter {
                     }
                     self.sq_errors.clear();
                     self.refit();
-                    self.accepted += 1;
                     return true;
                 }
             }
@@ -415,9 +397,8 @@ mod tests {
         assert!(f.offer(t, on_trend + 0.2), "near-trend sample must pass");
         // A 300 ms outlier (wireless spike) must be rejected.
         assert!(!f.offer(t + 15.0, on_trend + 300.0));
-        let (acc, rej) = f.counts();
-        assert_eq!(rej, 1);
-        assert!(acc >= 11);
+        // Ten seeded points plus the inlier; the outlier left no trace.
+        assert_eq!(f.len(), 11);
     }
 
     #[test]
@@ -493,7 +474,7 @@ mod tests {
     #[test]
     fn counts_start_zero() {
         let f = TrendFilter::new(1.0, true);
-        assert_eq!(f.counts(), (0, 0));
+        assert_eq!(f.len(), 0);
         assert!(f.is_empty());
     }
 }
@@ -513,7 +494,7 @@ mod proptests {
                 let t = i as f64 * 15.0;
                 prop_assert!(f.offer(t, slope * t));
             }
-            prop_assert_eq!(f.counts().1, 0);
+            prop_assert_eq!(f.len(), n);
         }
 
         /// False-ticker verdicts never reject the majority when all
@@ -543,6 +524,6 @@ mod proptests {
             let t = i as f64 * 15.0;
             assert!(f.offer(t, slope * t), "sample {i} rejected");
         }
-        assert_eq!(f.counts().1, 0);
+        assert_eq!(f.len(), n);
     }
 }

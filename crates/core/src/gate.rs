@@ -16,14 +16,12 @@ use netsim::WirelessHints;
 
 use crate::config::MntpConfig;
 
-/// The request gate: thresholds plus defer/pass counters.
+/// The request gate: the three thresholds.
 #[derive(Clone, Debug)]
 pub struct HintGate {
     rssi_min_dbm: f64,
     noise_max_dbm: f64,
     snr_margin_min_db: f64,
-    passed: u64,
-    deferred: u64,
 }
 
 impl HintGate {
@@ -33,39 +31,21 @@ impl HintGate {
             rssi_min_dbm: cfg.rssi_min_dbm,
             noise_max_dbm: cfg.noise_max_dbm,
             snr_margin_min_db: cfg.snr_margin_min_db,
-            passed: 0,
-            deferred: 0,
         }
     }
 
     /// `favorableSNRCondition()` of Algorithm 1. `None` hints (no wireless
     /// adaptor to query, e.g. wired or cellular) pass the gate: MNTP
     /// degrades to plain filtered SNTP when hints are unavailable.
-    pub fn favorable(&mut self, hints: Option<&WirelessHints>) -> bool {
-        let ok = match hints {
+    pub fn favorable(&self, hints: Option<&WirelessHints>) -> bool {
+        match hints {
             None => true,
             Some(h) => {
                 h.rssi_dbm > self.rssi_min_dbm
                     && h.noise_dbm < self.noise_max_dbm
                     && h.snr_margin_db() >= self.snr_margin_min_db
             }
-        };
-        if ok {
-            self.passed += 1;
-        } else {
-            self.deferred += 1;
         }
-        ok
-    }
-
-    /// Checks that passed.
-    pub fn passed(&self) -> u64 {
-        self.passed
-    }
-
-    /// Checks that deferred a request.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
     }
 }
 
@@ -83,35 +63,31 @@ mod tests {
 
     #[test]
     fn good_channel_passes() {
-        let mut g = gate();
-        assert!(g.favorable(Some(&hints(-65.0, -90.0))));
-        assert_eq!(g.passed(), 1);
+        assert!(gate().favorable(Some(&hints(-65.0, -90.0))));
     }
 
     #[test]
     fn weak_rssi_defers() {
-        let mut g = gate();
-        assert!(!g.favorable(Some(&hints(-76.0, -99.0))));
-        assert_eq!(g.deferred(), 1);
+        assert!(!gate().favorable(Some(&hints(-76.0, -99.0))));
     }
 
     #[test]
     fn high_noise_defers() {
-        let mut g = gate();
+        let g = gate();
         // SNR margin is 31 dB but noise itself breaches −70.
         assert!(!g.favorable(Some(&hints(-38.0, -69.0))));
     }
 
     #[test]
     fn thin_snr_margin_defers() {
-        let mut g = gate();
+        let g = gate();
         // Both absolute thresholds fine, margin only 15 dB.
         assert!(!g.favorable(Some(&hints(-74.0, -89.0))));
     }
 
     #[test]
     fn exact_boundaries() {
-        let mut g = gate();
+        let g = gate();
         // RSSI must be strictly greater than −75.
         assert!(!g.favorable(Some(&hints(-75.0, -99.0))));
         // Noise must be strictly less than −70.
@@ -122,17 +98,6 @@ mod tests {
 
     #[test]
     fn missing_hints_pass() {
-        let mut g = gate();
-        assert!(g.favorable(None));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut g = gate();
-        g.favorable(Some(&hints(-60.0, -95.0)));
-        g.favorable(Some(&hints(-80.0, -95.0)));
-        g.favorable(Some(&hints(-60.0, -60.0)));
-        assert_eq!(g.passed(), 1);
-        assert_eq!(g.deferred(), 2);
+        assert!(gate().favorable(None));
     }
 }

@@ -58,7 +58,7 @@ pub fn run_arm(label: &str, m: Mechanisms, seed: u64, duration: u64) -> Ablation
     let mut tb = Testbed::wireless(TestbedConfig::default(), seed);
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::NtpCorrected.build(seed + 2);
-    let mut gate = HintGate::new(&cfg);
+    let gate = HintGate::new(&cfg);
     let mut filter = TrendFilter::new(cfg.filter_sigma, cfg.reestimate_drift);
     let mut accepted = Vec::new();
     let mut rejected = 0usize;

@@ -281,7 +281,7 @@ pub fn huffpuff_comparison(seed: u64, duration: u64) -> HuffPuffResult {
     let mut pool = default_pool(seed + 1);
     let mut clock = ClockMode::free_running_default().build(seed + 2);
     let cfg = MntpConfig::baseline(5.0);
-    let mut gate = HintGate::new(&cfg);
+    let gate = HintGate::new(&cfg);
     let mut filter = TrendFilter::new(cfg.filter_sigma, cfg.reestimate_drift);
     let mut hp = HuffPuff::new(1800.0);
     let mut sntp = Vec::new();

@@ -200,7 +200,7 @@ pub fn paired_run(
     poll_secs: f64,
     cfg: &MntpConfig,
 ) -> PairedRun {
-    let mut gate = HintGate::new(cfg);
+    let gate = HintGate::new(cfg);
     let mut filter = TrendFilter::new(cfg.filter_sigma, cfg.reestimate_drift);
     let mut run = PairedRun::default();
     let polls = (duration_secs as f64 / poll_secs).floor() as u64;

@@ -53,10 +53,6 @@ struct Peer {
 pub struct Ntpd {
     peers: Vec<Peer>,
     discipline: Discipline,
-    /// System offsets computed (local secs, offset secs) — diagnostics.
-    pub system_offsets: Vec<(f64, f64)>,
-    /// Count of mitigation rounds where selection found no majority.
-    pub no_majority_rounds: u64,
 }
 
 impl Ntpd {
@@ -77,8 +73,6 @@ impl Ntpd {
         Ntpd {
             peers,
             discipline: Discipline::new(cfg.discipline.clone()),
-            system_offsets: Vec::new(),
-            no_majority_rounds: 0,
         }
     }
 
@@ -141,7 +135,6 @@ impl Ntpd {
         }
         let survivor_ids = select_survivors(&candidates);
         if survivor_ids.is_empty() {
-            self.no_majority_rounds += 1;
             return Vec::new();
         }
         let survivors: Vec<PeerCandidate> = candidates
@@ -162,20 +155,12 @@ impl Ntpd {
                 p.candidate = None;
             }
         }
-        if verdict != DisciplineVerdict::Panic {
-            self.system_offsets.push((now_secs, offset));
-        }
         self.discipline.take_commands()
     }
 
     /// Current poll interval (drives the simulation cadence).
     pub fn poll_interval_secs(&self) -> f64 {
         self.discipline.poll_interval_secs()
-    }
-
-    /// Steps performed by the discipline.
-    pub fn steps(&self) -> u64 {
-        self.discipline.steps
     }
 }
 
@@ -198,11 +183,6 @@ impl NtpdDiscipline {
     /// Wrap a fresh daemon.
     pub fn new(cfg: &NtpdConfig) -> Self {
         NtpdDiscipline { daemon: Ntpd::new(cfg), now_local_secs: 0.0, pending: Vec::new() }
-    }
-
-    /// The wrapped daemon (diagnostics: system offsets, step count).
-    pub fn daemon(&self) -> &Ntpd {
-        &self.daemon
     }
 }
 
@@ -273,7 +253,7 @@ mod tests {
     use sntp::{perform_exchange, PoolConfig, ServerPool};
 
     /// Drive a daemon over `peers` for `secs`, one tick per second;
-    /// returns the run and the daemon's step count.
+    /// returns the run and the number of steps the clock took.
     fn run_daemon(
         peers: Vec<usize>,
         tb: &mut Testbed,
@@ -283,7 +263,7 @@ mod tests {
     ) -> (mntp::MntpRun, u64) {
         let mut d = NtpdDiscipline::new(&NtpdConfig::with_peers(peers));
         let run = mntp::drive(&mut d, tb, pool, clock, None, &mntp::DriverConfig::span(secs, 1.0));
-        (run, d.daemon().steps())
+        (run, clock.steps_applied())
     }
 
     fn clock_with(skew_ppm: f64, initial_error_ms: i64, seed: u64) -> SimClock {
@@ -385,9 +365,14 @@ mod tests {
         daemon.on_sample(10.0, 0, 0.005, 0.040);
         daemon.on_poll_failed(10.0, 1);
         let cmds = daemon.mitigate(11.0);
-        // One peer is enough for mitigation to act (trivial majority).
-        assert!(!cmds.is_empty());
-        assert_eq!(daemon.system_offsets.len(), 1);
+        // One peer is enough for mitigation to act (trivial majority),
+        // and its 5 ms is the system offset the loop slews by.
+        match cmds.as_slice() {
+            [clocksim::ClockCommand::Slew(d)] => {
+                assert!((d.as_seconds_f64() - 0.4 * 0.005).abs() < 1e-9, "slew {d}");
+            }
+            other => panic!("expected one slew, got {other:?}"),
+        }
     }
 
     #[test]

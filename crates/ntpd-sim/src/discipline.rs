@@ -71,10 +71,6 @@ pub struct Discipline {
     cfg: DisciplineConfig,
     /// Current poll exponent.
     poll_exp: i8,
-    /// Local time of the previous update, s.
-    last_update: Option<f64>,
-    /// Offset at the previous update, s.
-    last_offset: f64,
     /// Consecutive in-band updates (drives poll raising).
     calm_streak: u32,
     /// Commands produced by the last update.
@@ -83,8 +79,6 @@ pub struct Discipline {
     fll_anchor: Option<(f64, f64)>,
     /// Accumulated frequency trim, ppm.
     total_trim_ppm: f64,
-    /// Steps performed (diagnostics).
-    pub steps: u64,
 }
 
 impl Discipline {
@@ -94,13 +88,10 @@ impl Discipline {
         Discipline {
             cfg,
             poll_exp: poll,
-            last_update: None,
-            last_offset: 0.0,
             calm_streak: 0,
             pending: Vec::new(),
             fll_anchor: None,
             total_trim_ppm: 0.0,
-            steps: 0,
         }
     }
 
@@ -128,11 +119,8 @@ impl Discipline {
         if offset.abs() > self.cfg.step_threshold {
             self.pending
                 .push(ClockCommand::Step(NtpDuration::from_seconds_f64(offset)));
-            self.steps += 1;
             self.poll_exp = self.cfg.poll_min;
             self.calm_streak = 0;
-            self.last_update = Some(now_secs);
-            self.last_offset = 0.0; // post-step residual ≈ 0
             self.fll_anchor = None; // pre-step offsets are meaningless now
             return DisciplineVerdict::Stepped;
         }
@@ -181,8 +169,6 @@ impl Discipline {
             }
         }
 
-        self.last_update = Some(now_secs);
-        self.last_offset = offset;
         DisciplineVerdict::Adjusted
     }
 }
@@ -197,8 +183,10 @@ mod tests {
         let v = d.update(0.0, 0.5, 0.001);
         assert_eq!(v, DisciplineVerdict::Stepped);
         let cmds = d.take_commands();
-        assert!(matches!(cmds[0], ClockCommand::Step(_)));
-        assert_eq!(d.steps, 1);
+        assert!(
+            matches!(cmds.as_slice(), [ClockCommand::Step(_)]),
+            "{cmds:?}"
+        );
     }
 
     #[test]

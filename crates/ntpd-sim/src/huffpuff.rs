@@ -41,8 +41,6 @@ pub struct HuffPuff {
     /// Window span, seconds (ntpd default: 900 s × number of bins; we
     /// keep the raw samples instead of binning).
     span_secs: f64,
-    /// Corrections applied (diagnostics).
-    pub corrections: u64,
 }
 
 impl HuffPuff {
@@ -50,7 +48,7 @@ impl HuffPuff {
     /// 7200 s; congested episodes must be shorter than the span or the
     /// baseline itself inflates.
     pub fn new(span_secs: f64) -> Self {
-        HuffPuff { window: VecDeque::new(), span_secs, corrections: 0 }
+        HuffPuff { window: VecDeque::new(), span_secs }
     }
 
     /// The current minimum-delay baseline, if any samples are in window.
@@ -75,7 +73,6 @@ impl HuffPuff {
             return offset;
         }
         let half = excess / 2.0;
-        self.corrections += 1;
         if offset > 0.0 {
             (offset - half).max(0.0).min(offset)
         } else {
@@ -96,7 +93,6 @@ mod tests {
             let out = hp.correct(i as f64 * 5.0, 0.012, 0.080);
             assert_eq!(out, 0.012);
         }
-        assert_eq!(hp.corrections, 0);
     }
 
     #[test]
@@ -113,7 +109,6 @@ mod tests {
             corrected.abs() < 0.005,
             "excess-delay bias should be removed, got {corrected}"
         );
-        assert_eq!(hp.corrections, 1);
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub enum ReplyOutcome {
 pub struct SntpClient {
     /// The transmit timestamp of the in-flight request, if any.
     outstanding: Option<NtpTimestamp>,
-    /// Replies accepted so far (diagnostics).
-    accepted: u64,
-    /// Replies rejected by sanity checks (diagnostics).
-    rejected: u64,
-    /// Kiss-o'-death replies received (diagnostics).
-    kod_received: u64,
 }
 
 impl SntpClient {
@@ -76,55 +70,29 @@ impl SntpClient {
         self.outstanding = None;
     }
 
-    /// Process reply bytes received at local time `t4`, treating any
-    /// kiss-o'-death as a rejection (the naive SNTP behaviour the paper
-    /// measured on shipped clients). Hardened callers that honor kiss
-    /// codes use [`SntpClient::on_reply_classified`].
-    pub fn on_reply(&mut self, data: &[u8], t4: NtpTimestamp) -> Result<OffsetSample, WireError> {
-        match self.on_reply_classified(data, t4)? {
-            ReplyOutcome::Sample(s) => Ok(s),
-            ReplyOutcome::KissODeath(_) => {
-                // The KoD consumed the outstanding request (the server
-                // *did* answer us), but it yields no time.
-                self.rejected += 1;
-                Err(WireError::SanityCheck("kiss-o'-death"))
-            }
-        }
-    }
-
     /// Process reply bytes received at local time `t4`, distinguishing
     /// time replies from kiss-o'-death refusals.
     ///
-    /// Every rejection — stale replies arriving after [`SntpClient::abandon`],
-    /// duplicates of an already-consumed reply, origin mismatches, parse
-    /// failures, failed sanity checks — is counted in
-    /// [`SntpClient::rejected`]; silent discards would make fault-layer
-    /// duplicate storms invisible in run diagnostics.
-    pub fn on_reply_classified(
-        &mut self,
-        data: &[u8],
-        t4: NtpTimestamp,
-    ) -> Result<ReplyOutcome, WireError> {
+    /// An `Ok` — a time sample or a kiss code — consumes the outstanding
+    /// request (the server answered us). An `Err` leaves it untouched:
+    /// stale replies arriving after [`SntpClient::abandon`], duplicates of
+    /// an already-consumed reply, origin mismatches, parse failures and
+    /// failed sanity checks are all rejected without resurrecting or
+    /// clearing a request.
+    pub fn on_reply(&mut self, data: &[u8], t4: NtpTimestamp) -> Result<ReplyOutcome, WireError> {
         let Some(origin) = self.outstanding else {
             // Late reply after abandon(), or a duplicate of a reply we
-            // already consumed: rejected *and counted*.
-            self.rejected += 1;
+            // already consumed.
             return Err(WireError::SanityCheck("no outstanding request"));
         };
-        let packet = NtpPacket::parse(data).inspect_err(|_| self.rejected += 1)?;
-        match sntp_profile::classify_reply(&packet, origin) {
-            Err(e) => {
-                self.rejected += 1;
-                Err(e)
-            }
-            Ok(ReplyClass::KissODeath(code)) => {
+        let packet = NtpPacket::parse(data)?;
+        match sntp_profile::classify_reply(&packet, origin)? {
+            ReplyClass::KissODeath(code) => {
                 self.outstanding = None;
-                self.kod_received += 1;
                 Ok(ReplyOutcome::KissODeath(code))
             }
-            Ok(ReplyClass::Time) => {
+            ReplyClass::Time => {
                 self.outstanding = None;
-                self.accepted += 1;
                 let ex = Exchange::from_reply(&packet, t4);
                 Ok(ReplyOutcome::Sample(OffsetSample {
                     offset: ex.offset(),
@@ -135,21 +103,6 @@ impl SntpClient {
                 }))
             }
         }
-    }
-
-    /// Count of accepted replies.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Count of rejected replies.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Count of kiss-o'-death replies received.
-    pub fn kod_received(&self) -> u64 {
-        self.kod_received
     }
 }
 
@@ -181,16 +134,22 @@ mod tests {
         (reply.serialize(), t4)
     }
 
+    fn sample(out: Result<ReplyOutcome, WireError>) -> OffsetSample {
+        match out {
+            Ok(ReplyOutcome::Sample(s)) => s,
+            other => panic!("expected a time sample, got {other:?}"),
+        }
+    }
+
     #[test]
     fn symmetric_exchange_recovers_server_offset() {
         let mut c = SntpClient::new();
         let req = c.make_request(ts(100, 0));
         let (reply, t4) = reply_for(&req, 40, 40, 250);
-        let s = c.on_reply(&reply, t4).unwrap();
+        let s = sample(c.on_reply(&reply, t4));
         assert!((s.offset.as_millis_f64() - 250.0).abs() < 0.01, "offset={}", s.offset);
         assert!((s.delay.as_millis_f64() - 80.0).abs() < 0.01);
         assert_eq!(s.stratum, 2);
-        assert_eq!(c.accepted(), 1);
         assert!(!c.has_outstanding());
     }
 
@@ -199,7 +158,7 @@ mod tests {
         let mut c = SntpClient::new();
         let req = c.make_request(ts(100, 0));
         let (reply, t4) = reply_for(&req, 400, 20, 0);
-        let s = c.on_reply(&reply, t4).unwrap();
+        let s = sample(c.on_reply(&reply, t4));
         // Bias = (fwd − back)/2 = 190 ms: this is the whole SNTP problem.
         assert!((s.offset.as_millis_f64() - 190.0).abs() < 0.01);
     }
@@ -211,42 +170,39 @@ mod tests {
         let req = other.make_request(ts(5, 0));
         let (reply, t4) = reply_for(&req, 10, 10, 0);
         assert!(c.on_reply(&reply, t4).is_err());
-        // An unsolicited reply must be counted, not silently discarded.
-        assert_eq!(c.rejected(), 1);
+        assert!(!c.has_outstanding());
     }
 
     /// A reply that limps in after the caller timed out and abandoned
-    /// the request is stale: rejected, counted, and the client stays
-    /// idle (no request is resurrected).
+    /// the request is stale: rejected, and the client stays idle (no
+    /// request is resurrected).
     #[test]
-    fn late_reply_after_abandon_rejected_and_counted() {
+    fn late_reply_after_abandon_rejected() {
         let mut c = SntpClient::new();
         let req = c.make_request(ts(100, 0));
         let (reply, t4) = reply_for(&req, 10, 10, 0);
         c.abandon();
         assert!(c.on_reply(&reply, t4).is_err());
-        assert_eq!(c.rejected(), 1);
-        assert_eq!(c.accepted(), 0);
         assert!(!c.has_outstanding());
     }
 
     /// A fault-layer duplicate: the first copy is consumed normally, the
     /// identical second copy finds no outstanding request and must be
-    /// rejected and counted — never double-accepted.
+    /// rejected — never double-accepted.
     #[test]
-    fn duplicate_reply_rejected_and_counted() {
+    fn duplicate_reply_rejected() {
         let mut c = SntpClient::new();
         let req = c.make_request(ts(100, 0));
         let (reply, t4) = reply_for(&req, 10, 10, 0);
-        assert!(c.on_reply(&reply, t4).is_ok());
-        assert_eq!(c.accepted(), 1);
+        sample(c.on_reply(&reply, t4));
         let t4_later = t4 + NtpDuration::from_millis(3);
-        assert!(c.on_reply(&reply, t4_later).is_err());
-        assert_eq!(c.accepted(), 1, "duplicate must not be accepted twice");
-        assert_eq!(c.rejected(), 1);
+        assert!(
+            c.on_reply(&reply, t4_later).is_err(),
+            "duplicate must not be accepted twice"
+        );
     }
 
-    /// The classified path surfaces kiss-o'-death codes and consumes the
+    /// The reply path surfaces kiss-o'-death codes and consumes the
     /// outstanding request (the server answered — with a refusal).
     #[test]
     fn classified_path_exposes_kiss_code() {
@@ -261,22 +217,19 @@ mod tests {
             transmit_ts: ts(51, 0),
             ..Default::default()
         };
-        let out = c.on_reply_classified(&kod.serialize(), ts(51, 0)).unwrap();
-        assert_eq!(out, ReplyOutcome::KissODeath(*b"RATE"));
-        assert_eq!(c.kod_received(), 1);
-        assert_eq!(c.rejected(), 0, "an honored KoD is not a sanity rejection");
+        let out = c.on_reply(&kod.serialize(), ts(51, 0));
+        assert_eq!(out, Ok(ReplyOutcome::KissODeath(*b"RATE")));
         assert!(!c.has_outstanding());
     }
 
     #[test]
-    fn mismatched_origin_rejected_and_counted() {
+    fn mismatched_origin_rejected() {
         let mut c = SntpClient::new();
         let _req = c.make_request(ts(100, 0));
         let mut other = SntpClient::new();
         let stale = other.make_request(ts(99, 0));
         let (reply, t4) = reply_for(&stale, 10, 10, 0);
         assert!(c.on_reply(&reply, t4).is_err());
-        assert_eq!(c.rejected(), 1);
         // Request still outstanding — a forged reply must not clear it.
         assert!(c.has_outstanding());
     }
@@ -286,7 +239,8 @@ mod tests {
         let mut c = SntpClient::new();
         let _ = c.make_request(ts(1, 0));
         assert!(c.on_reply(&[0u8; 10], ts(2, 0)).is_err());
-        assert_eq!(c.rejected(), 1);
+        // Bytes that do not parse leave the request waiting.
+        assert!(c.has_outstanding());
     }
 
     #[test]
@@ -313,5 +267,63 @@ mod tests {
         let req = c.make_request(ts(7, 0)).serialize();
         let p = NtpPacket::parse(&req).unwrap();
         assert!(p.is_sntp_client_shape());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use devtools::prop;
+    use devtools::{prop_assert, prop_assert_eq, props};
+    use ntp_wire::packet::Mode;
+    use ntp_wire::refid::RefId;
+
+    props! {
+        /// One reply path, one request: over time and RATE-kiss replies
+        /// with up to two mangled bytes, delivered to a waiting or an
+        /// abandoned client, an `Err` leaves the request as it was, an
+        /// `Ok` consumes it, and the same bytes never succeed twice.
+        /// This is the stale, duplicate and forged-origin behaviour over
+        /// generated replies.
+        fn reply_consumes_request_at_most_once(
+            t1_bits in prop::any_u64(),
+            kiss in prop::ints(0..2),
+            abandon in prop::ints(0..2),
+            flips in prop::vecs((prop::sizes(0..48), prop::ints_incl(1, 255)), 0..3),
+        ) {
+            let mut c = SntpClient::new();
+            let t1 = NtpTimestamp::from_bits(t1_bits);
+            let request = c.make_request(t1);
+            let t2 = t1 + NtpDuration::from_millis(20);
+            let reply = if kiss == 1 {
+                NtpPacket {
+                    mode: Mode::Server,
+                    stratum: 0,
+                    reference_id: RefId::KISS_RATE,
+                    origin_ts: request.transmit_ts,
+                    transmit_ts: t2,
+                    ..Default::default()
+                }
+            } else {
+                sntp_profile::server_reply(&request, t2, t2, 2, RefId::ipv4(1, 2, 3, 4), t2)
+            };
+            let mut bytes = reply.serialize();
+            for &(at, mask) in &flips {
+                bytes[at] ^= mask as u8;
+            }
+            if abandon == 1 {
+                c.abandon();
+            }
+            let waiting = c.has_outstanding();
+            let t4 = t1 + NtpDuration::from_millis(41);
+            match c.on_reply(&bytes, t4) {
+                Err(_) => prop_assert_eq!(c.has_outstanding(), waiting),
+                Ok(_) => {
+                    prop_assert!(waiting, "a reply succeeded with no request out");
+                    prop_assert!(!c.has_outstanding());
+                    prop_assert!(c.on_reply(&bytes, t4).is_err(), "a reply succeeded twice");
+                }
+            }
+        }
     }
 }

@@ -118,8 +118,7 @@ pub fn perform_exchange(
 ///
 /// If the reply lands after `timeout`, the request is abandoned
 /// (`Err(Timeout)`) and the late reply is fed to the client anyway — it
-/// must be rejected and counted, exactly like a stale packet on real
-/// hardware.
+/// must be rejected, exactly like a stale packet on real hardware.
 ///
 /// `capture` records the request and reply bytes as a client-side
 /// tcpdump would see them: the request at departure, and the reply when
@@ -239,20 +238,20 @@ pub fn perform_exchange_with(
         // The caller gave up before the reply landed; the late packet
         // still reaches the socket and must be rejected, not applied.
         client.abandon();
-        let late = client.on_reply_classified(&delivered, t4);
+        let late = client.on_reply(&delivered, t4);
         debug_assert!(late.is_err(), "stale reply must not be accepted");
         return Err(ExchangeError::Timeout);
     }
 
     let outcome =
-        client.on_reply_classified(&delivered, t4).map_err(|_| ExchangeError::RejectedReply)?;
+        client.on_reply(&delivered, t4).map_err(|_| ExchangeError::RejectedReply)?;
     let sample = match outcome {
         ReplyOutcome::KissODeath(code) => return Err(ExchangeError::KissODeath(code)),
         ReplyOutcome::Sample(s) => s,
     };
     if fate == PacketFate::Duplicate {
         // The clone lands right behind the consumed original.
-        let dup = client.on_reply_classified(&delivered, t4);
+        let dup = client.on_reply(&delivered, t4);
         debug_assert!(dup.is_err(), "duplicate reply must not be double-applied");
     }
     Ok(CompletedExchange {

@@ -225,7 +225,7 @@ pub fn complete_fleet_exchange(
     let completed_at = reply.departure + back;
 
     let t4 = clock.now(completed_at);
-    match client.on_reply_classified(&reply.reply_bytes, t4) {
+    match client.on_reply(&reply.reply_bytes, t4) {
         Ok(ReplyOutcome::Sample(sample)) => Ok(CompletedExchange {
             sample,
             true_fwd: reply.fwd,

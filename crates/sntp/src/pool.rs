@@ -273,12 +273,10 @@ impl Default for HealthConfig {
     }
 }
 
-/// Per-server reachability and sanction state, ntpd-style.
+/// Per-server failure and sanction state, ntpd-style. Selection reads
+/// only the ban expiry.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerHealth {
-    /// 8-bit reachability shift register (1 = the last poll succeeded),
-    /// as in RFC 5905 §13 / `ntpq -p`'s `reach` column.
-    reach: u8,
     /// Failures since the last success.
     consecutive_failures: u32,
     /// Demotions served so far (drives the growing ban; decays on
@@ -286,21 +284,9 @@ pub struct ServerHealth {
     demotions: u32,
     /// Server is blacklisted until this time, seconds.
     banned_until_secs: f64,
-    /// Kiss-o'-death replies seen from this server.
-    pub kod_received: u64,
 }
 
 impl ServerHealth {
-    /// The reachability shift register.
-    pub fn reach(&self) -> u8 {
-        self.reach
-    }
-
-    /// Polls answered among the last eight (0–8).
-    pub fn score(&self) -> u32 {
-        self.reach.count_ones()
-    }
-
     /// True when the server may be queried at time `t` (not blacklisted).
     pub fn eligible(&self, t_secs: f64) -> bool {
         t_secs >= self.banned_until_secs
@@ -338,7 +324,6 @@ impl HealthTracker {
     /// Record a successful exchange with `id` at time `t`.
     pub fn on_success(&mut self, id: usize, _t_secs: f64) {
         let h = ServerId(id).resolve_mut(&mut self.servers, "HealthTracker::on_success");
-        h.reach = (h.reach << 1) | 1;
         h.consecutive_failures = 0;
         // Decay: good behaviour halves the demotion memory, so an old
         // incident stops inflating future bans.
@@ -349,7 +334,6 @@ impl HealthTracker {
     pub fn on_failure(&mut self, id: usize, t_secs: f64) {
         let cfg = self.cfg;
         let h = ServerId(id).resolve_mut(&mut self.servers, "HealthTracker::on_failure");
-        h.reach <<= 1;
         h.consecutive_failures += 1;
         if h.consecutive_failures >= cfg.demote_after {
             let ban = (cfg.demote_secs * cfg.demote_growth.powi(h.demotions.min(16) as i32))
@@ -364,7 +348,6 @@ impl HealthTracker {
     pub fn on_kod(&mut self, id: usize, code: [u8; 4], t_secs: f64) {
         let cfg = self.cfg;
         let h = ServerId(id).resolve_mut(&mut self.servers, "HealthTracker::on_kod");
-        h.kod_received += 1;
         let ban = match &code {
             b"DENY" | b"RSTR" => cfg.deny_secs,
             _ => cfg.rate_backoff_secs,
@@ -508,18 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn reach_register_tracks_last_eight_polls() {
-        let mut tr = HealthTracker::new(1, HealthConfig::default(), 1);
-        for _ in 0..3 {
-            tr.on_success(0, 0.0);
-        }
-        tr.on_failure(0, 0.0);
-        tr.on_success(0, 0.0);
-        assert_eq!(tr.health(0).reach(), 0b11101);
-        assert_eq!(tr.health(0).score(), 4);
-    }
-
-    #[test]
     fn consecutive_failures_demote_and_bans_grow_then_decay() {
         let cfg = HealthConfig {
             demote_after: 3,
@@ -560,7 +531,8 @@ mod tests {
         tr.on_kod(1, *b"DENY", 100.0);
         assert!(!tr.health(1).eligible(1000.0));
         assert!(tr.health(1).eligible(3700.0));
-        assert_eq!(tr.health(1).kod_received, 1);
+        assert_eq!(tr.health(0).banned_until_secs(), 164.0);
+        assert_eq!(tr.health(1).banned_until_secs(), 3700.0);
     }
 
     #[test]

@@ -237,17 +237,18 @@ mod tests {
 
     #[test]
     fn client_rejects_kod_replies() {
-        use crate::client::SntpClient;
+        use crate::client::{ReplyOutcome, SntpClient};
         let mut s = server(0.0).with_rate_limit(SimDuration::from_secs(60));
         let mut c = SntpClient::new();
         let t1 = NtpTimestamp::from_parts(5, 0);
         let req = c.make_request(t1).serialize();
         s.handle(&req, SimTime::from_secs(1)).unwrap();
-        // Immediately again: KoD, which the RFC 4330 checks must reject.
+        // Immediately again: KoD, which yields a kiss code, never time.
         let req = c.make_request(t1).serialize();
         let (kod_bytes, _) = s.handle(&req, SimTime::from_secs(2)).unwrap();
-        assert!(c.on_reply(&kod_bytes, NtpTimestamp::from_parts(6, 0)).is_err());
-        assert_eq!(c.rejected(), 1);
+        let out = c.on_reply(&kod_bytes, NtpTimestamp::from_parts(6, 0));
+        assert_eq!(out, Ok(ReplyOutcome::KissODeath(*b"RATE")));
+        assert!(!c.has_outstanding());
     }
 
     #[test]

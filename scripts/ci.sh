@@ -11,8 +11,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release, offline, warnings are errors) =="
-RUSTFLAGS="-D warnings" cargo build --release --offline
+echo "== build (release, offline, every target, warnings are errors) =="
+RUSTFLAGS="-D warnings" cargo build --release --offline --all-targets
 
 echo "== determinism & panic-policy lint =="
 cargo run --release --offline -p devtools --bin lint
